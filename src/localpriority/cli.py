@@ -9,12 +9,14 @@ stdout); 2 input or format error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from . import fileio
 from .axioms import (
+    Verdict,
     check_compromiser_invariance,
     check_fixed_compromiser,
     check_unanimity,
@@ -27,11 +29,18 @@ from .axioms import (
 )
 from .compare import check_agent_dominance, check_pointwise_dominance
 from .consistency import is_backward_consistent, is_forward_consistent
-from .core import CompromiserAssignment, Constraint, MalformedAssignmentError
+from .core import (
+    Assignment,
+    CompromiserAssignment,
+    Constraint,
+    Instance,
+    MalformedAssignmentError,
+    Profile,
+)
 from .engine import (
     Exhausted,
     MechanismTable,
-    find_exhausting_profile,
+    NotImplementableError,
     run_lp,
     tabulate,
     tabulate_function,
@@ -115,31 +124,64 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _mechanism_table(args: argparse.Namespace) -> MechanismTable:
+class _Mechanism(NamedTuple):
+    """A named mechanism loaded from the command line: its constraint, outcome
+    function and compromiser assignment (where it has one), and for DA the
+    per-round applications. Constraints and assignments are made on demand,
+    since each sweeps every allocation; marriage has no constraint, as only
+    `lp mechanisms` runs it."""
+
+    instance: Instance
+    constraint: Callable[[], Constraint] | None
+    outcome: Callable[[Profile], Assignment]
+    alpha: Callable[[], CompromiserAssignment] | None
+    rounds: Callable[[Profile], tuple[Assignment, ...]] | None = None
+
+
+def _load_mechanism(args: argparse.Namespace) -> _Mechanism:
     name = args.mechanism
     if name == "sd":
         constraint = _load_constraint_arg(args)
         if constraint is None or not args.order:
             raise ValueError("sd needs --constraint and --order")
         order = fileio.load_order(_read_json(args.order), constraint.instance)
-        return tabulate_function(
-            lambda p: serial_dictatorship(constraint, order, p), constraint
+        return _Mechanism(
+            constraint.instance,
+            lambda: constraint,
+            lambda p: serial_dictatorship(constraint, order, p),
+            lambda: sd_alpha(constraint, order),
         )
     if name in ("da", "ia"):
         spec = fileio.load_school_spec(_read_json(args.spec))
-        fn = (
-            (lambda p: cumulative_da(spec, p)[0])
-            if name == "da"
-            else (lambda p: immediate_acceptance(spec, p))
+        if name == "ia":
+            return _Mechanism(
+                spec.instance,
+                spec.constraint,
+                lambda p: immediate_acceptance(spec, p),
+                None,
+            )
+        return _Mechanism(
+            spec.instance,
+            spec.constraint,
+            lambda p: cumulative_da(spec, p)[0],
+            lambda: da_alpha(spec),
+            lambda p: cumulative_da(spec, p)[1],
         )
-        return tabulate_function(fn, spec.constraint())
     if name == "ttc":
         constraint = _load_constraint_arg(args)
         if constraint is None:
             raise ValueError("ttc needs --constraint (a house constraint)")
         endowment = fileio.load_endowment(_read_json(args.endowment), constraint.instance)
-        return tabulate_function(lambda p: ttc(endowment, p), constraint)
-    raise ValueError(f"cannot tabulate mechanism {name!r}")
+        return _Mechanism(
+            constraint.instance,
+            lambda: constraint,
+            lambda p: ttc(endowment, p),
+            lambda: ttc_alpha(endowment),
+        )
+    if name == "marriage":
+        spec = fileio.load_marriage_spec(_read_json(args.spec))
+        return _Mechanism(spec.instance, None, lambda p: marriage_da(spec, p), None)
+    raise ValueError(f"unknown mechanism {name!r}")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -148,94 +190,65 @@ def cmd_check(args: argparse.Namespace) -> int:
         if p not in ALL_PROPS:
             raise ValueError(f"unknown property {p!r}; choose from {ALL_PROPS}")
 
-    alpha = None
-    table = None
     if args.alpha:
         alpha = _load_alpha_arg(args)
+        inst = alpha.instance
+
+        @functools.cache
+        def sweep() -> tuple[MechanismTable | None, Profile | None]:
+            """The one tabulation that implementability and every table
+            property share: the table, or else the exhausting profile."""
+            try:
+                return tabulate(alpha), None
+            except NotImplementableError as exc:
+                return None, exc.profile
+
     elif args.mechanism:
-        table = _mechanism_table(args)
+        alpha = None
+        mech = _load_mechanism(args)
+        table = tabulate_function(mech.outcome, mech.constraint())
+        inst = table.instance
+
+        def sweep() -> tuple[MechanismTable | None, Profile | None]:
+            return table, None
+
     else:
         raise ValueError("check needs --alpha or --mechanism")
 
-    def get_table() -> MechanismTable:
-        nonlocal table
-        if table is None:
-            table = tabulate(alpha)
-        return table
-
     results = []
-    all_hold = True
     for prop in props:
-        if prop in ALPHA_PROPS:
-            if alpha is None:
-                raise ValueError(f"property {prop!r} needs --alpha")
-            if prop == "forward":
-                verdict = is_forward_consistent(alpha)
-            elif prop == "backward":
-                verdict = is_backward_consistent(alpha, args.reading)
-            else:
-                witness = find_exhausting_profile(alpha)
-                inst = alpha.instance
-                results.append(
-                    {
-                        "prop": prop,
-                        "holds": witness is None,
-                        "witness": None
-                        if witness is None
-                        else {"profile": fileio.dump_profile(witness, inst)},
-                    }
-                )
-                all_hold = all_hold and witness is None
-                continue
-        elif prop == "local-priority":
-            lp = is_local_priority(get_table())
-            results.append(
-                {
-                    "prop": prop,
-                    "holds": lp.is_lp,
-                    "failed": lp.failed,
-                    "witness": fileio.witness_to_json(lp.witness, get_table().instance),
-                }
-            )
-            all_hold = all_hold and lp.is_lp
-            continue
-        elif prop == "gsp":
-            verdict = is_group_strategy_proof(get_table(), exhaustive=args.exhaustive)
+        if prop in ALPHA_PROPS and alpha is None:
+            raise ValueError(f"property {prop!r} needs --alpha")
+        result: dict[str, Any] = {"prop": prop}
+        if prop == "forward":
+            verdict = is_forward_consistent(alpha)
+        elif prop == "backward":
+            verdict = is_backward_consistent(alpha, args.reading)
         else:
-            verdict = TABLE_PROPS[prop](get_table())
-        inst = alpha.instance if alpha is not None else get_table().instance
-        results.append(
-            {
-                "prop": prop,
-                "holds": verdict.holds,
-                "witness": fileio.witness_to_json(verdict.witness, inst),
-            }
-        )
-        all_hold = all_hold and verdict.holds
+            table, exhausting = sweep()
+            if exhausting is not None:
+                verdict = Verdict(prop, False, {"profile": exhausting})
+                if prop != "implementable":
+                    result["failed"] = "implementable"
+            elif prop == "implementable":
+                verdict = Verdict(prop, True)
+            elif prop == "local-priority":
+                lp = is_local_priority(table)
+                verdict = Verdict(prop, lp.is_lp, lp.witness)
+                result["failed"] = lp.failed
+            elif prop == "gsp":
+                verdict = is_group_strategy_proof(table, exhaustive=args.exhaustive)
+            else:
+                verdict = TABLE_PROPS[prop](table)
+        result["holds"] = verdict.holds
+        result["witness"] = fileio.witness_to_json(verdict.witness, inst)
+        results.append(result)
     _emit({"results": results})
-    return 0 if all_hold else 1
+    return 0 if all(r["holds"] for r in results) else 1
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    name = args.mechanism
-    if name == "sd":
-        constraint = _load_constraint_arg(args)
-        if constraint is None or not args.order:
-            raise ValueError("sd needs --constraint and --order")
-        order = fileio.load_order(_read_json(args.order), constraint.instance)
-        alpha = sd_alpha(constraint, order)
-    elif name == "da":
-        spec = fileio.load_school_spec(_read_json(args.spec))
-        alpha = da_alpha(spec)
-    elif name == "ttc":
-        constraint = _load_constraint_arg(args)
-        if constraint is None:
-            raise ValueError("ttc needs --constraint (a house constraint)")
-        endowment = fileio.load_endowment(_read_json(args.endowment), constraint.instance)
-        alpha = ttc_alpha(endowment)
-    else:
-        raise ValueError(f"cannot derive from mechanism {name!r}")
-    doc = fileio.dumps(fileio.dump_alpha(alpha))
+    doc = fileio.dumps(fileio.dump_alpha(_load_mechanism(args).alpha()))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(doc)
@@ -316,49 +329,12 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_mechanisms(args: argparse.Namespace) -> int:
-    name = args.mechanism
-    if name in ("da", "ia"):
-        spec = fileio.load_school_spec(_read_json(args.spec))
-        inst = spec.instance
-        profile = fileio.load_profile(_read_json(args.profile), inst)
-        if name == "da":
-            final, rounds = cumulative_da(spec, profile)
-            doc = {"allocation": list(inst.assignment_names(final))}
-            if args.rounds:
-                doc["rounds"] = [list(inst.assignment_names(r)) for r in rounds]
-        else:
-            doc = {
-                "allocation": list(
-                    inst.assignment_names(immediate_acceptance(spec, profile))
-                )
-            }
-    elif name == "sd":
-        constraint = _load_constraint_arg(args)
-        if constraint is None or not args.order:
-            raise ValueError("sd needs --constraint and --order")
-        inst = constraint.instance
-        order = fileio.load_order(_read_json(args.order), inst)
-        profile = fileio.load_profile(_read_json(args.profile), inst)
-        doc = {
-            "allocation": list(
-                inst.assignment_names(serial_dictatorship(constraint, order, profile))
-            )
-        }
-    elif name == "ttc":
-        constraint = _load_constraint_arg(args)
-        if constraint is None:
-            raise ValueError("ttc needs --constraint (a house constraint)")
-        inst = constraint.instance
-        endowment = fileio.load_endowment(_read_json(args.endowment), inst)
-        profile = fileio.load_profile(_read_json(args.profile), inst)
-        doc = {"allocation": list(inst.assignment_names(ttc(endowment, profile)))}
-    elif name == "marriage":
-        spec = fileio.load_marriage_spec(_read_json(args.spec))
-        inst = spec.instance
-        profile = fileio.load_profile(_read_json(args.profile), inst)
-        doc = {"allocation": list(inst.assignment_names(marriage_da(spec, profile)))}
-    else:
-        raise ValueError(f"unknown mechanism {name!r}")
+    mech = _load_mechanism(args)
+    inst = mech.instance
+    profile = fileio.load_profile(_read_json(args.profile), inst)
+    doc = {"allocation": list(inst.assignment_names(mech.outcome(profile)))}
+    if args.rounds and mech.rounds is not None:
+        doc["rounds"] = [list(inst.assignment_names(r)) for r in mech.rounds(profile)]
     _emit(doc)
     return 0
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import CompromiserAssignment, DEFAULT_PROFILE_BUDGET
-from .engine import Exhausted, run_lp
+from .engine import Exhausted, is_implementable, run_lp
 from .consistency import Reading, is_consistent, is_forward_consistent
 
 
@@ -20,16 +20,6 @@ class DominanceReport:
     hypothesis_failures: tuple[str, ...] = ()
 
 
-def _implementability_failures(*alphas: CompromiserAssignment) -> list[str]:
-    out = []
-    for label, alpha in zip(("alpha", "alpha_prime"), alphas):
-        for profile in alpha.instance.all_profiles():
-            if isinstance(run_lp(alpha, profile), Exhausted):
-                out.append(f"{label}_not_implementable")
-                break
-    return out
-
-
 def check_pointwise_dominance(
     alpha: CompromiserAssignment,
     alpha_prime: CompromiserAssignment,
@@ -42,7 +32,11 @@ def check_pointwise_dominance(
     if alpha.instance != alpha_prime.instance:
         raise ValueError("comparisons need a common instance")
     alpha.instance.check_profile_budget(budget)
-    failures = _implementability_failures(alpha, alpha_prime)
+    failures = [
+        f"{label}_not_implementable"
+        for label, a in (("alpha", alpha), ("alpha_prime", alpha_prime))
+        if not is_implementable(a, budget)
+    ]
     if not alpha.is_subset_of(alpha_prime):
         failures.append("not_pointwise_subset")
     if not is_forward_consistent(alpha_prime).holds:
@@ -88,7 +82,11 @@ def check_agent_dominance(
     failures = []
     if alpha.constraint.feasible != alpha_prime.constraint.feasible:
         failures.append("different_constraints")
-    failures.extend(_implementability_failures(alpha, alpha_prime))
+    failures.extend(
+        f"{label}_not_implementable"
+        for label, a in (("alpha", alpha), ("alpha_prime", alpha_prime))
+        if not is_implementable(a, budget)
+    )
     if not is_consistent(alpha, reading).holds:
         failures.append("alpha_not_consistent")
     if not is_consistent(alpha_prime, reading).holds:

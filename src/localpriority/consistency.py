@@ -25,6 +25,7 @@ from .engine import (
     tabulate_function,
 )
 from .axioms import Verdict, is_group_strategy_proof, is_nonbossy, is_pareto_efficient
+from .mechanisms import _dictator_picks, _feasible_assignments
 
 Reading = Literal["strict", "relaxed"]
 READINGS = ("strict", "relaxed")
@@ -336,34 +337,40 @@ def theorem_harness(
     budget: int = 10_000_000,
 ) -> HarnessReport:
     """Enumerate the consistent implementable assignments for a constraint and
-    check every induced table for group strategy-proofness and efficiency."""
+    check every induced table for group strategy-proofness and efficiency.
+    Each distinct table is checked once; its failures are listed for every
+    assignment inducing it, in enumeration order."""
     from .enumeration import EnumerationOptions, enumerate_consistent
 
     opts = EnumerationOptions(
-        reading=reading, require_forward=True, require_backward=True, budget=budget
+        reading=reading,
+        require_forward=True,
+        require_backward=True,
+        dedupe_by_mechanism=True,
+        budget=budget,
     )
+    result = enumerate_consistent(constraint, opts)
+    verdicts: dict[int, tuple[Verdict, Verdict]] = {}
+    for key, members in result.mechanism_groups.items():
+        table = MechanismTable(constraint, key)
+        pair = (is_group_strategy_proof(table), is_pareto_efficient(table))
+        for k in members:
+            verdicts[k] = pair
     gsp_failures = []
     pe_failures = []
-    tables: dict[tuple[int, ...], None] = {}
-    total = 0
-    result = enumerate_consistent(constraint, opts)
-    for alpha in result.assignments:
-        total += 1
-        table = tabulate(alpha)
-        tables[table.table] = None
-        gsp = is_group_strategy_proof(table)
+    for k, alpha in enumerate(result.assignments):
+        gsp, pe = verdicts[k]
         if not gsp.holds:
             gsp_failures.append({"alpha": alpha, "witness": gsp.witness})
-        pe = is_pareto_efficient(table)
         if not pe.holds:
             pe_failures.append({"alpha": alpha, "witness": pe.witness})
     return HarnessReport(
         constraint,
         reading,
-        total,
+        result.count,
         tuple(gsp_failures),
         tuple(pe_failures),
-        len(tables),
+        result.mechanism_count,
     )
 
 
@@ -470,18 +477,8 @@ def _pick_contingent_dictatorship(
     depends on the first dictator's pick. Group strategy-proof for the same
     reason serial dictatorship is: every pick is the agent's best surviving
     option and earlier picks are unaffected by later reports."""
-    inst = constraint.instance
-    pool = [inst.decode(c) for c in sorted(constraint.feasible)]
-    chosen = {}
-    sequence = [first]
-    for agent in sequence:
-        options = {a[agent] for a in pool}
-        best = next(o for o in profile[agent] if o in options)
-        chosen[agent] = best
-        pool = [a for a in pool if a[agent] == best]
-        if agent == first:
-            sequence.extend(orders[best])
-    return tuple(chosen[i] for i in range(inst.n))
+    pool = _dictator_picks(_feasible_assignments(constraint), (first,), profile)
+    return _dictator_picks(pool, orders[pool[0][first]], profile)[0]
 
 
 def _gsp_backward_candidates(

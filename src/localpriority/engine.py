@@ -34,10 +34,11 @@ class Trace:
 
 @dataclass(frozen=True)
 class Final:
-    """The algorithm reached a feasible allocation."""
+    """The algorithm reached a feasible allocation, also given by its code."""
 
     assignment: Assignment
     trace: Trace
+    code: int
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,7 @@ def run_lp(alpha: CompromiserAssignment, profile: Profile) -> Outcome:
     while True:
         if code in feasible:
             steps.append((tuple(x), frozenset()))
-            return Final(tuple(x), Trace(profile, tuple(steps)))
+            return Final(tuple(x), Trace(profile, tuple(steps)), code)
         cell = cells.get(code)
         if not cell:
             raise MalformedAssignmentError(
@@ -103,17 +104,18 @@ def run_lp(alpha: CompromiserAssignment, profile: Profile) -> Outcome:
             new = profile[i][pos[i]]
             code += (new - x[i]) * powers[i]
             x[i] = new
-        assert len(steps) <= step_cap, "rank descent bound violated"
+        if len(steps) > step_cap:
+            raise AssertionError("rank descent bound violated")
 
 
 def find_exhausting_profile(
     alpha: CompromiserAssignment, budget: int = DEFAULT_PROFILE_BUDGET
 ) -> Profile | None:
     """Lexicographically first profile on which the algorithm exhausts, if any."""
-    alpha.instance.check_profile_budget(budget)
-    for profile in alpha.instance.all_profiles():
-        if isinstance(run_lp(alpha, profile), Exhausted):
-            return profile
+    try:
+        tabulate(alpha, budget)
+    except NotImplementableError as exc:
+        return exc.profile
     return None
 
 
@@ -154,17 +156,17 @@ class MechanismTable:
 def tabulate(
     alpha: CompromiserAssignment, budget: int = DEFAULT_PROFILE_BUDGET
 ) -> MechanismTable:
-    """Dense table of the local priority mechanism; exhaustion surfaces the
-    witness profile as NotImplementableError."""
+    """Dense table of the local priority mechanism. This is the one
+    implementability sweep: exhaustion raises NotImplementableError carrying
+    the lexicographically first exhausting profile."""
     inst = alpha.instance
     inst.check_profile_budget(budget)
-    encode = inst.encode
     entries = []
     for profile in inst.all_profiles():
         out = run_lp(alpha, profile)
         if isinstance(out, Exhausted):
             raise NotImplementableError(profile, out.agent, out.step)
-        entries.append(encode(out.assignment))
+        entries.append(out.code)
     return MechanismTable(alpha.constraint, tuple(entries))
 
 

@@ -5,8 +5,9 @@ mechanism-level deduplication.
 Forward consistency is enforced exactly during the depth-first search. Backward
 consistency over two-step connections is also propagated during the search
 (both a sound pruning rule and the source of required-agent lower bounds);
-the full path-global condition plus implementability are then checked on every
-completed assignment.
+the full path-global condition is then checked on every completed assignment,
+and each survivor is tabulated once, which decides implementability and keys
+the mechanism deduplication.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .core import CompromiserAssignment, Constraint, Instance
 from .consistency import Reading, _check_reading, is_backward_consistent, is_forward_consistent
-from .engine import Exhausted, NotImplementableError, run_lp, tabulate
+from .engine import NotImplementableError, tabulate
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,9 @@ class _Search:
         self.nodes = 0
         self.pruned = 0
         self.found: list[CompromiserAssignment] = []
+        self.groups: dict[tuple[int, ...], list[int]] | None = (
+            {} if options.dedupe_by_mechanism else None
+        )
         self._build_moves()
         self._build_forward()
         if options.require_backward:
@@ -269,10 +273,13 @@ class _Search:
             if not is_backward_consistent(alpha, self.options.reading).holds:
                 self.pruned += 1
                 return
-        for profile in self.inst.all_profiles():
-            if isinstance(run_lp(alpha, profile), Exhausted):
-                self.pruned += 1
-                return
+        try:
+            table = tabulate(alpha)
+        except NotImplementableError:
+            self.pruned += 1
+            return
+        if self.groups is not None:
+            self.groups.setdefault(table.table, []).append(len(self.found))
         self.found.append(alpha)
 
     def run(self) -> bool:
@@ -335,22 +342,12 @@ def enumerate_consistent(
     search = _Search(constraint, options)
     complete = search.run()
     result = EnumerationResult(
-        constraint, options, search.found, search.pruned, complete
+        constraint, options, search.found, search.pruned, complete,
+        mechanism_groups=search.groups,
     )
-    _postprocess(result)
-    return result
-
-
-def _postprocess(result: EnumerationResult) -> None:
-    options = result.options
     if options.quotient_symmetry:
         result.representatives = _quotient(result)
-    if options.dedupe_by_mechanism:
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for k, alpha in enumerate(result.assignments):
-            table = tabulate(alpha)
-            groups.setdefault(table.table, []).append(k)
-        result.mechanism_groups = groups
+    return result
 
 
 def _quotient(result: EnumerationResult) -> list[tuple[CompromiserAssignment, int]]:

@@ -4,7 +4,8 @@ the two non-examples (immediate acceptance, marriage deferred acceptance)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 from .core import (
     Assignment,
@@ -84,21 +85,32 @@ def _check_order(instance: Instance, order: Sequence[int]) -> tuple[int, ...]:
     return tuple(order)
 
 
+@lru_cache(maxsize=64)
+def _feasible_assignments(constraint: Constraint) -> tuple[Assignment, ...]:
+    """The feasible allocations, decoded once per constraint, in code order."""
+    inst = constraint.instance
+    return tuple(inst.decode(c) for c in sorted(constraint.feasible))
+
+
+def _dictator_picks(
+    pool: Sequence[Assignment], agents: Iterable[int], profile: Sequence[Sequence[int]]
+) -> Sequence[Assignment]:
+    """Each agent in turn keeps only the allocations in the pool that give
+    them their favorite object left; returns the surviving pool."""
+    for agent in agents:
+        options = {a[agent] for a in pool}
+        best = next(o for o in profile[agent] if o in options)
+        pool = [a for a in pool if a[agent] == best]
+    return pool
+
+
 def serial_dictatorship(
     constraint: Constraint, order: Sequence[int], profile: Profile
 ) -> Assignment:
     """Each dictator in turn takes their favorite object compatible with the
     picks of earlier dictators."""
-    inst = constraint.instance
-    order = _check_order(inst, order)
-    pool = [inst.decode(c) for c in sorted(constraint.feasible)]
-    chosen: dict[int, int] = {}
-    for agent in order:
-        options = {a[agent] for a in pool}
-        best = next(o for o in profile[agent] if o in options)
-        chosen[agent] = best
-        pool = [a for a in pool if a[agent] == best]
-    return tuple(chosen[i] for i in range(inst.n))
+    order = _check_order(constraint.instance, order)
+    return _dictator_picks(_feasible_assignments(constraint), order, profile)[0]
 
 
 def sd_alpha(constraint: Constraint, order: Sequence[int]) -> CompromiserAssignment:
@@ -106,7 +118,7 @@ def sd_alpha(constraint: Constraint, order: Sequence[int]) -> CompromiserAssignm
     is incompatible with the entries of all earlier dictators."""
     inst = constraint.instance
     order = _check_order(inst, order)
-    feasible_assignments = [inst.decode(c) for c in sorted(constraint.feasible)]
+    feasible_assignments = _feasible_assignments(constraint)
     cells = {}
     for code in range(inst.num_allocations):
         if code in constraint.feasible:
@@ -119,7 +131,8 @@ def sd_alpha(constraint: Constraint, order: Sequence[int]) -> CompromiserAssignm
                 culprit = agent
                 break
             pool = [a for a in pool if a[agent] == x[agent]]
-        assert culprit is not None, "infeasible allocation with no incompatible prefix"
+        if culprit is None:
+            raise AssertionError("infeasible allocation with no incompatible prefix")
         cells[code] = frozenset({culprit})
     return CompromiserAssignment(constraint, cells)
 
@@ -207,7 +220,8 @@ def ttc(endowment: Endowment, profile: Profile) -> Assignment:
         local = {a: k for k, a in enumerate(agents)}
         cyc = _cycle_nodes([local[ptr[a]] for a in agents])
         traders = {agents[k] for k in cyc}
-        assert traders, "pointer graph on remaining agents must contain a cycle"
+        if not traders:
+            raise AssertionError("pointer graph on remaining agents must contain a cycle")
         for i in traders:
             result[i] = endowment.owner[ptr[i]]
         remaining -= traders
@@ -253,7 +267,8 @@ def immediate_acceptance(spec: SchoolSpec, profile: Profile) -> Assignment:
             for i in applicants[: seats[s]]:
                 result[i] = s
             seats[s] -= min(seats[s], len(applicants))
-    assert all(r != -1 for r in result), "capacity assumption guarantees assignment"
+    if -1 in result:
+        raise AssertionError("capacity assumption guarantees assignment")
     return tuple(result)
 
 

@@ -362,6 +362,23 @@ def test_check_implementable_witness_exits_one():
     assert witness["profile"] == {"1": ["a", "b"], "2": ["a", "b"]}
 
 
+@pytest.mark.parametrize("props", ["sp", "local-priority", "implementable,sp"])
+def test_check_table_props_on_non_implementable_exit_one(props):
+    proc = run_cli("check", "--props", props, "--alpha", fx("exhaust_alpha.json"))
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    results = json.loads(proc.stdout)["results"]
+    assert [r["prop"] for r in results] == props.split(",")
+    exhausting = {"profile": {"1": ["a", "b"], "2": ["a", "b"]}}
+    for r in results:
+        assert r["holds"] is False
+        assert r["witness"] == exhausting
+        if r["prop"] == "implementable":
+            assert "failed" not in r
+        else:
+            assert r["failed"] == "implementable"
+
+
 def test_mechanisms_sd_social():
     proc = run_cli(
         "mechanisms",

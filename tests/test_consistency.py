@@ -12,8 +12,9 @@ from localpriority.core import (
 )
 from localpriority.engine import mechanisms_equal, tabulate
 from localpriority.mechanisms import da_alpha, ttc_alpha
-from localpriority.axioms import derive_alpha, is_group_strategy_proof
+from localpriority.axioms import derive_alpha, is_group_strategy_proof, is_pareto_efficient
 from localpriority.consistency import (
+    HarnessReport,
     find_gsp_backward_violation,
     find_pe_not_gsp,
     i_connected,
@@ -25,6 +26,7 @@ from localpriority.consistency import (
     verify_subset_equivalence,
     verify_union_closure,
 )
+from localpriority.enumeration import EnumerationOptions, enumerate_consistent
 
 from conftest import A, B, C
 
@@ -203,6 +205,27 @@ def test_theorem_harness_small_constraint():
     report = theorem_harness(constraint, "strict")
     assert report.all_pass
     assert report.total > 0
+
+
+@pytest.mark.parametrize("feasible", [(0, 1, 4), (0, 5), (2, 6, 8)])
+@pytest.mark.parametrize("reading", ["strict", "relaxed"])
+def test_theorem_harness_matches_per_assignment_loop(inst2, feasible, reading):
+    constraint = Constraint(inst2, frozenset(feasible), ("explicit",))
+    result = enumerate_consistent(constraint, EnumerationOptions(reading=reading))
+    gsp_failures, pe_failures, tables = [], [], set()
+    for alpha in result.assignments:
+        table = tabulate(alpha)
+        tables.add(table.table)
+        gsp = is_group_strategy_proof(table)
+        if not gsp.holds:
+            gsp_failures.append({"alpha": alpha, "witness": gsp.witness})
+        pe = is_pareto_efficient(table)
+        if not pe.holds:
+            pe_failures.append({"alpha": alpha, "witness": pe.witness})
+    expected = HarnessReport(
+        constraint, reading, result.count, tuple(gsp_failures), tuple(pe_failures), len(tables)
+    )
+    assert theorem_harness(constraint, reading) == expected
 
 
 def test_find_pe_not_gsp_respects_budget(inst3):

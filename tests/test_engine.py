@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from localpriority.core import (
@@ -22,6 +24,7 @@ from localpriority.engine import (
     tabulate,
     tabulate_function,
 )
+from localpriority.enumeration import EnumerationOptions, brute_force_consistent
 from localpriority.mechanisms import cumulative_da, da_alpha
 from localpriority.axioms import bottom_rank, is_group_strategy_proof
 
@@ -269,3 +272,35 @@ def test_run_lp_trace_is_legal_on_random_inputs(alpha_profile):
     else:
         assert out.agent in alpha.cell(inst.encode(allocations[-1]))
         assert profile[out.agent].index(allocations[-1][out.agent]) == inst.m - 1
+
+
+def _naive_first_exhausting(alpha):
+    for profile in alpha.instance.all_profiles():
+        if isinstance(run_lp(alpha, profile), Exhausted):
+            return profile
+    return None
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_find_exhausting_profile_matches_naive_sweep(m):
+    inst = Instance(("1", "2"), tuple("abc"[:m]))
+    codes = range(inst.num_allocations)
+    subsets = [frozenset({0}), frozenset({1}), frozenset({0, 1})]
+    unconstrained = EnumerationOptions(require_forward=False, require_backward=False)
+    diagonal = {k * (m + 1) for k in range(m)}
+    for infeasible in ({0}, {0, 1}, {1, 2}, diagonal):
+        constraint = Constraint(inst, frozenset(codes) - infeasible, ("explicit",))
+        cells = sorted(infeasible)
+        implementable = set()
+        for combo in itertools.product(subsets, repeat=len(cells)):
+            alpha = make_alpha(constraint, dict(zip(cells, combo)))
+            witness = find_exhausting_profile(alpha)
+            assert witness == _naive_first_exhausting(alpha)
+            assert is_implementable(alpha) == (witness is None)
+            if witness is None:
+                assert tabulate(alpha).table == tuple(
+                    inst.encode(run_lp(alpha, p).assignment) for p in inst.all_profiles()
+                )
+                implementable.add(combo)
+        brute = brute_force_consistent(constraint, unconstrained)
+        assert {tuple(alpha.cells[c] for c in cells) for alpha in brute} == implementable

@@ -2,15 +2,16 @@ import pytest
 
 from localpriority.core import Constraint, Instance, house_constraint, social_constraint
 from localpriority.consistency import is_backward_consistent, is_forward_consistent
-from localpriority.engine import is_implementable
+from localpriority.engine import is_implementable, tabulate
 from localpriority.enumeration import (
     EnumerationOptions,
     brute_force_consistent,
     constraint_symmetries,
     enumerate_consistent,
 )
+from localpriority.fileio import load_constraint
 
-from conftest import A, B, C
+from conftest import A, B, C, load_fixture
 
 
 def _keys(alphas):
@@ -127,6 +128,19 @@ def test_quotient_and_dedupe_on_social():
     assert summary["orbit_count"] == len(result.representatives)
     assert sum(size for _, size in result.representatives) == result.count
     assert summary["mechanism_count"] <= result.count
+
+
+@pytest.mark.parametrize("name", ["house3", "social2"])
+def test_mechanism_groups_regroup_assignments_by_table(name, house3):
+    constraint = house3 if name == "house3" else load_constraint(load_fixture("social2.json"))
+    options = EnumerationOptions(dedupe_by_mechanism=True)
+    result = enumerate_consistent(constraint, options)
+    regrouped = {}
+    for k, alpha in enumerate(result.assignments):
+        regrouped.setdefault(tabulate(alpha).table, []).append(k)
+    assert list(result.mechanism_groups.items()) == list(regrouped.items())
+    assert result.mechanism_count == len(regrouped)
+    assert regrouped
 
 
 def test_options_validation():

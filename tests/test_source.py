@@ -1,0 +1,17 @@
+"""Source-level guarantees of the package."""
+
+import ast
+from pathlib import Path
+
+import localpriority
+
+PACKAGE = Path(localpriority.__file__).parent
+
+
+def test_no_assert_statements_in_package():
+    # `python -O` strips assert statements, so invariants must raise explicitly.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in {found}"
