@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     Assignment,
@@ -26,7 +26,7 @@ from .core import (
     ScaleLimitError,
     profiles_with_tops,
 )
-from .engine import MechanismTable, tabulate
+from .engine import MechanismTable, mechanism_difference, tabulate
 
 MASKIN_PAIR_BUDGET = 25_000_000
 
@@ -56,40 +56,9 @@ class FunctionMechanism:
 Mechanism = MechanismTable | FunctionMechanism
 
 
-@dataclass
-class _Prep:
-    """Shared precomputation for table sweeps."""
-
-    instance: Instance
-    prefs: tuple[Preference, ...]
-    ranks: dict[Preference, int]
-    strides: tuple[int, ...]
-    dec: tuple[Assignment, ...]
-    pos: tuple[tuple[int, ...], ...]  # pos[pref_rank][obj] = rank position
-    rank_tuples: list[tuple[int, ...]] = field(default_factory=list)
-
-
-def _prep(f: MechanismTable) -> _Prep:
-    inst = f.instance
-    prefs = inst.all_preferences()
-    k = len(prefs)
-    strides = tuple(k ** (inst.n - 1 - i) for i in range(inst.n))
-    dec = tuple(inst.decode(c) for c in range(inst.num_allocations))
-    pos = []
-    for p in prefs:
-        row = [0] * inst.m
-        for r, obj in enumerate(p):
-            row[obj] = r
-        pos.append(tuple(row))
-    return _Prep(inst, prefs, {p: r for r, p in enumerate(prefs)}, strides, dec, tuple(pos))
-
-
-def _rank_tuples(prep: _Prep) -> list[tuple[int, ...]]:
-    if not prep.rank_tuples:
-        prep.rank_tuples = list(
-            itertools.product(range(len(prep.prefs)), repeat=prep.instance.n)
-        )
-    return prep.rank_tuples
+def _rank_tuples(inst: Instance) -> Iterator[tuple[int, ...]]:
+    """Per-agent ranking ranks of every profile, in dense index order."""
+    return itertools.product(range(len(inst.all_preferences())), repeat=inst.n)
 
 
 def bottom_rank(pref: Preference, obj: int) -> Preference:
@@ -104,48 +73,21 @@ def _check_budget(f: MechanismTable, budget: int) -> None:
 def is_strategy_proof(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verdict:
     """No single agent gains by misreporting, at any profile."""
     _check_budget(f, budget)
-    prep = _prep(f)
-    table, dec, strides, pos = f.table, prep.dec, prep.strides, prep.pos
-    k = len(prep.prefs)
-    for pidx, pranks in enumerate(_rank_tuples(prep)):
-        x = dec[table[pidx]]
-        for i in range(prep.instance.n):
-            posi = pos[pranks[i]]
-            pix = posi[x[i]]
-            if pix == 0:
-                continue
-            base = pidx - pranks[i] * strides[i]
-            for r2 in range(k):
-                if r2 == pranks[i]:
-                    continue
-                y = dec[table[base + r2 * strides[i]]]
-                if posi[y[i]] < pix:
-                    return Verdict(
-                        "strategy_proof",
-                        False,
-                        {
-                            "profile": _profile_of(prep, pranks),
-                            "agent": i,
-                            "misreport": prep.prefs[r2],
-                            "truthful_outcome": x,
-                            "deviation_outcome": y,
-                        },
-                    )
-    return Verdict("strategy_proof", True)
+    return _coalition_sweep(f, (1,), "strategy_proof")
 
 
 def is_nonbossy(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verdict:
     """No agent changes others' assignments without changing their own."""
     _check_budget(f, budget)
-    prep = _prep(f)
-    table, dec, strides, pos = f.table, prep.dec, prep.strides, prep.pos
-    k = len(prep.prefs)
-    for pidx, pranks in enumerate(_rank_tuples(prep)):
+    inst = f.instance
+    table, dec, strides = f.table, inst.decode_table, inst.strides
+    prefs = inst.all_preferences()
+    for pidx, pranks in enumerate(_rank_tuples(inst)):
         xc = table[pidx]
         x = dec[xc]
-        for i in range(prep.instance.n):
+        for i in range(inst.n):
             base = pidx - pranks[i] * strides[i]
-            for r2 in range(k):
+            for r2 in range(len(prefs)):
                 if r2 == pranks[i]:
                     continue
                 yc = table[base + r2 * strides[i]]
@@ -154,9 +96,9 @@ def is_nonbossy(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verd
                         "nonbossy",
                         False,
                         {
-                            "profile": _profile_of(prep, pranks),
+                            "profile": inst.profile_at(pidx),
                             "agent": i,
-                            "misreport": prep.prefs[r2],
+                            "misreport": prefs[r2],
                             "truthful_outcome": x,
                             "deviation_outcome": dec[yc],
                         },
@@ -176,61 +118,68 @@ def is_group_strategy_proof(
     all coalition sizes; `exhaustive` sweeps every coalition.
     """
     _check_budget(f, budget)
-    sp = is_strategy_proof(f, budget)
-    if not sp.holds:
-        witness = dict(sp.witness or {})
-        witness["coalition"] = (witness.pop("agent"),)
-        witness["misreports"] = (witness.pop("misreport"),)
-        return Verdict("group_strategy_proof", False, witness)
-    prep = _prep(f)
-    n = prep.instance.n
-    sizes = range(2, n + 1) if exhaustive else [2]
+    sizes = range(1, f.instance.n + 1) if exhaustive else (1, 2)
+    return _coalition_sweep(f, sizes, "group_strategy_proof")
+
+
+def _coalition_sweep(f: MechanismTable, sizes: Iterable[int], name: str) -> Verdict:
+    """First coalition misreport, by size, then profile, coalition and
+    reports, that leaves every member weakly better and one strictly better.
+    A size-1 witness of strategy_proof names the agent and misreport."""
+    inst = f.instance
+    table, dec, strides, pos = f.table, inst.decode_table, inst.strides, inst.positions
+    k = len(inst.all_preferences())
     for size in sizes:
-        v = _coalition_sweep(f, prep, size)
-        if v is not None:
-            return v
-    return Verdict("group_strategy_proof", True)
-
-
-def _coalition_sweep(f: MechanismTable, prep: _Prep, size: int) -> Verdict | None:
-    table, dec, strides, pos = f.table, prep.dec, prep.strides, prep.pos
-    k = len(prep.prefs)
-    n = prep.instance.n
-    for pidx, pranks in enumerate(_rank_tuples(prep)):
-        x = dec[table[pidx]]
-        for coalition in itertools.combinations(range(n), size):
-            base = pidx
-            for i in coalition:
-                base -= pranks[i] * strides[i]
-            truth_pos = [pos[pranks[i]][x[i]] for i in coalition]
-            for reports in itertools.product(range(k), repeat=size):
-                idx = base
-                for i, r in zip(coalition, reports):
-                    idx += r * strides[i]
-                if idx == pidx:
-                    continue
-                y = dec[table[idx]]
-                better = 0
-                for i, tp in zip(coalition, truth_pos):
-                    yp = pos[pranks[i]][y[i]]
-                    if yp > tp:
-                        better = -1
-                        break
-                    if yp < tp:
-                        better += 1
-                if better > 0:
-                    return Verdict(
-                        "group_strategy_proof",
-                        False,
-                        {
-                            "profile": _profile_of(prep, pranks),
-                            "coalition": coalition,
-                            "misreports": tuple(prep.prefs[r] for r in reports),
-                            "truthful_outcome": x,
-                            "deviation_outcome": y,
-                        },
-                    )
-    return None
+        # per coalition, the index offset of every joint report, in report order
+        coalitions = [
+            (c, [sum(r * strides[i] for i, r in zip(c, rs))
+                 for rs in itertools.product(range(k), repeat=size)])
+            for c in itertools.combinations(range(inst.n), size)
+        ]
+        for pidx, pranks in enumerate(_rank_tuples(inst)):
+            x = dec[table[pidx]]
+            rows = [pos[r] for r in pranks]
+            truth = [row[obj] for row, obj in zip(rows, x)]
+            for coalition, offsets in coalitions:
+                base = pidx
+                improvable = False
+                for i in coalition:
+                    base -= pranks[i] * strides[i]
+                    if truth[i]:
+                        improvable = True
+                if not improvable:
+                    continue  # every member already holds their top choice
+                for off in offsets:
+                    idx = base + off
+                    if idx == pidx:
+                        continue
+                    y = dec[table[idx]]
+                    better = 0
+                    for i in coalition:
+                        yp = rows[i][y[i]]
+                        if yp > truth[i]:
+                            better = -1
+                            break
+                        if yp < truth[i]:
+                            better += 1
+                    if better > 0:
+                        deviation = inst.profile_at(idx)
+                        misreports = tuple(deviation[i] for i in coalition)
+                        if name == "strategy_proof":
+                            who = {"agent": coalition[0], "misreport": misreports[0]}
+                        else:
+                            who = {"coalition": coalition, "misreports": misreports}
+                        return Verdict(
+                            name,
+                            False,
+                            {
+                                "profile": inst.profile_at(pidx),
+                                **who,
+                                "truthful_outcome": x,
+                                "deviation_outcome": y,
+                            },
+                        )
+    return Verdict(name, True)
 
 
 def is_maskin_monotonic(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verdict:
@@ -239,19 +188,18 @@ def is_maskin_monotonic(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET)
     _check_budget(f, budget)
     if f.instance.num_profiles**2 > MASKIN_PAIR_BUDGET:
         raise ScaleLimitError("profile-pair sweep exceeds the Maskin budget")
-    prep = _prep(f)
-    table, dec = f.table, prep.dec
-    n = prep.instance.n
+    inst = f.instance
+    table, dec, n = f.table, inst.decode_table, inst.n
     # lc[r][obj]: bitmask of objects strictly below obj under ranking r
     lc = []
-    for p in prep.prefs:
-        row = [0] * prep.instance.m
+    for p in inst.all_preferences():
+        row = [0] * inst.m
         below = 0
         for obj in reversed(p):
             row[obj] = below
             below |= 1 << obj
         lc.append(tuple(row))
-    rank_tuples = _rank_tuples(prep)
+    rank_tuples = list(_rank_tuples(inst))
     for pidx, pranks in enumerate(rank_tuples):
         xc = table[pidx]
         x = dec[xc]
@@ -264,8 +212,8 @@ def is_maskin_monotonic(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET)
                     "maskin_monotonic",
                     False,
                     {
-                        "profile": _profile_of(prep, pranks),
-                        "transformed_profile": _profile_of(prep, qranks),
+                        "profile": inst.profile_at(pidx),
+                        "transformed_profile": inst.profile_at(qidx),
                         "outcome": x,
                         "transformed_outcome": dec[table[qidx]],
                     },
@@ -282,14 +230,12 @@ def is_pareto_efficient(
     strictly for someone, at any profile."""
     _check_budget(f, budget)
     constraint = constraint or f.constraint
-    prep = _prep(f)
-    table, dec, pos = f.table, prep.dec, prep.pos
-    n = prep.instance.n
-    feas = [dec[c] for c in sorted(constraint.feasible)]
-    for pidx, pranks in enumerate(_rank_tuples(prep)):
+    inst = f.instance
+    table, dec, pos, n = f.table, inst.decode_table, inst.positions, inst.n
+    for pidx, pranks in enumerate(_rank_tuples(inst)):
         x = dec[table[pidx]]
         xpos = tuple(pos[pranks[i]][x[i]] for i in range(n))
-        for y in feas:
+        for y in constraint.feasible_assignments:
             better = 0
             for i in range(n):
                 yp = pos[pranks[i]][y[i]]
@@ -303,16 +249,12 @@ def is_pareto_efficient(
                     "pareto_efficient",
                     False,
                     {
-                        "profile": _profile_of(prep, pranks),
+                        "profile": inst.profile_at(pidx),
                         "outcome": x,
                         "improvement": y,
                     },
                 )
     return Verdict("pareto_efficient", True)
-
-
-def _profile_of(prep: _Prep, pranks: Sequence[int]) -> Profile:
-    return tuple(prep.prefs[r] for r in pranks)
 
 
 def _image_note(f: MechanismTable) -> tuple[str, ...]:
@@ -326,21 +268,21 @@ def _image_note(f: MechanismTable) -> tuple[str, ...]:
 def check_unanimity(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verdict:
     """Whenever the top-choice vector lies in the image, it is chosen."""
     _check_budget(f, budget)
-    prep = _prep(f)
+    inst = f.instance
     image = f.image()
     notes = _image_note(f)
-    enc = f.instance.encode
-    for pidx, pranks in enumerate(_rank_tuples(prep)):
-        tops = tuple(prep.prefs[r][0] for r in pranks)
-        tc = enc(tops)
+    prefs = inst.all_preferences()
+    for pidx, pranks in enumerate(_rank_tuples(inst)):
+        tops = tuple(prefs[r][0] for r in pranks)
+        tc = inst.encode(tops)
         if tc in image and f.table[pidx] != tc:
             return Verdict(
                 "unanimity",
                 False,
                 {
-                    "profile": _profile_of(prep, pranks),
+                    "profile": inst.profile_at(pidx),
                     "tops": tops,
-                    "outcome": prep.dec[f.table[pidx]],
+                    "outcome": inst.decode(f.table[pidx]),
                 },
                 notes,
             )
@@ -480,8 +422,6 @@ def is_local_priority(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -
         if not v.holds:
             return LPVerdict(False, None, v.name, v.witness, notes=v.notes)
     alpha = derive_alpha(f, budget=budget)
-    from .engine import mechanism_difference
-
     table = tabulate(alpha, budget=budget)
     if table.table != f.table:
         return LPVerdict(

@@ -151,6 +151,8 @@ def _load_mechanism(args: argparse.Namespace) -> _Mechanism:
             lambda p: serial_dictatorship(constraint, order, p),
             lambda: sd_alpha(constraint, order),
         )
+    if name in ("da", "ia", "marriage") and not args.spec:
+        raise ValueError(f"{name} needs --spec")
     if name in ("da", "ia"):
         spec = fileio.load_school_spec(_read_json(args.spec))
         if name == "ia":
@@ -171,6 +173,8 @@ def _load_mechanism(args: argparse.Namespace) -> _Mechanism:
         constraint = _load_constraint_arg(args)
         if constraint is None:
             raise ValueError("ttc needs --constraint (a house constraint)")
+        if not args.endowment:
+            raise ValueError("ttc needs --endowment")
         endowment = fileio.load_endowment(_read_json(args.endowment), constraint.instance)
         return _Mechanism(
             constraint.instance,

@@ -25,7 +25,7 @@ from .engine import (
     tabulate_function,
 )
 from .axioms import Verdict, is_group_strategy_proof, is_nonbossy, is_pareto_efficient
-from .mechanisms import _dictator_picks, _feasible_assignments
+from .mechanisms import _dictator_picks
 
 Reading = Literal["strict", "relaxed"]
 READINGS = ("strict", "relaxed")
@@ -477,7 +477,7 @@ def _pick_contingent_dictatorship(
     depends on the first dictator's pick. Group strategy-proof for the same
     reason serial dictatorship is: every pick is the agent's best surviving
     option and earlier picks are unaffected by later reports."""
-    pool = _dictator_picks(_feasible_assignments(constraint), (first,), profile)
+    pool = _dictator_picks(constraint.feasible_assignments, (first,), profile)
     return _dictator_picks(pool, orders[pool[0][first]], profile)[0]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # A preference is a ranking of all object indices, best first.
@@ -55,40 +55,79 @@ class Instance:
                 f"exceeds guardrail {MAX_ALLOCATION_SPACE}"
             )
 
-    @property
+    # Derived tables are cached on the instance (cached_property writes to
+    # __dict__, which the frozen dataclass allows); equality and hashing still
+    # use only the agents and objects.
+
+    @cached_property
     def n(self) -> int:
         return len(self.agents)
 
-    @property
+    @cached_property
     def m(self) -> int:
         return len(self.objects)
 
-    @property
+    @cached_property
     def num_allocations(self) -> int:
         return self.m**self.n
 
-    @property
+    @cached_property
     def num_profiles(self) -> int:
         return math.factorial(self.m) ** self.n
 
+    @cached_property
+    def powers(self) -> tuple[int, ...]:
+        """Place value of each agent's object in an allocation code."""
+        return tuple(self.m**i for i in range(self.n))
+
+    @cached_property
+    def preference_rank(self) -> dict[Preference, int]:
+        """Rank of each strict ranking in the canonical lexicographic order."""
+        return {p: r for r, p in enumerate(self.all_preferences())}
+
+    @cached_property
+    def positions(self) -> tuple[tuple[int, ...], ...]:
+        """positions[rank][obj]: place of obj in the ranking of that rank."""
+        out = []
+        for pref in self.all_preferences():
+            row = [0] * self.m
+            for place, obj in enumerate(pref):
+                row[obj] = place
+            out.append(tuple(row))
+        return tuple(out)
+
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Per agent, the step in the dense profile index for one step in
+        their ranking's rank (agent 0 most significant)."""
+        k = math.factorial(self.m)
+        return tuple(k ** (self.n - 1 - i) for i in range(self.n))
+
+    @cached_property
+    def decode_table(self) -> tuple[Assignment, ...]:
+        """Every assignment by code. Dense, so only table sweeps build it."""
+        return tuple(self.all_assignments())
+
     def encode(self, assignment: Sequence[int]) -> int:
         """Mixed-radix code of an assignment, agent 0 least significant."""
-        if len(assignment) != self.n:
-            raise ValueError(f"assignment length {len(assignment)} != {self.n} agents")
+        n, m = self.n, self.m
+        if len(assignment) != n:
+            raise ValueError(f"assignment length {len(assignment)} != {n} agents")
         code = 0
-        for i in reversed(range(self.n)):
+        for i in reversed(range(n)):
             obj = assignment[i]
-            if not 0 <= obj < self.m:
+            if not 0 <= obj < m:
                 raise ValueError(f"invalid object index {obj}")
-            code = code * self.m + obj
+            code = code * m + obj
         return code
 
     def decode(self, code: int) -> Assignment:
         if not 0 <= code < self.num_allocations:
             raise ValueError(f"allocation code {code} out of range")
+        m = self.m
         out = []
         for _ in range(self.n):
-            code, obj = divmod(code, self.m)
+            code, obj = divmod(code, m)
             out.append(obj)
         return tuple(out)
 
@@ -114,12 +153,22 @@ class Instance:
 
     def all_preferences(self) -> tuple[Preference, ...]:
         """All m! strict rankings in lexicographic order."""
+        return self._preferences
+
+    @cached_property
+    def _preferences(self) -> tuple[Preference, ...]:
         return tuple(itertools.permutations(range(self.m)))
 
     def all_profiles(self) -> Iterator[Profile]:
         """All (m!)^n profiles, lexicographic by per-agent permutation rank."""
+        return itertools.product(self.all_preferences(), repeat=self.n)
+
+    def profile_at(self, index: int) -> Profile:
+        """The profile at a canonical dense index; inverse of profile_index."""
+        if not 0 <= index < self.num_profiles:
+            raise ValueError(f"profile index {index} out of range")
         prefs = self.all_preferences()
-        return itertools.product(prefs, repeat=self.n)
+        return tuple(prefs[index // s % len(prefs)] for s in self.strides)
 
     def check_profile_budget(self, budget: int = DEFAULT_PROFILE_BUDGET) -> None:
         if self.num_profiles > budget:
@@ -177,6 +226,12 @@ class Constraint:
 
     def feasible_codes(self) -> list[int]:
         return sorted(self.feasible)
+
+    @cached_property
+    def feasible_assignments(self) -> tuple[Assignment, ...]:
+        """The feasible allocations, decoded once per constraint, in code order."""
+        inst = self.instance
+        return tuple(inst.decode(c) for c in sorted(self.feasible))
 
 
 def house_constraint(instance: Instance) -> Constraint:
@@ -412,16 +467,9 @@ def profiles_with_tops(instance: Instance, mu: Sequence[int]) -> Iterator[Profil
     return itertools.product(*per_agent)
 
 
-@lru_cache(maxsize=64)
-def preference_ranks(instance: Instance) -> dict[Preference, int]:
-    """Rank of each strict ranking in the canonical lexicographic order."""
-    return {p: r for r, p in enumerate(instance.all_preferences())}
-
-
-def profile_index(instance: Instance, profile: Profile, ranks: Mapping[Preference, int] | None = None) -> int:
+def profile_index(instance: Instance, profile: Profile) -> int:
     """Canonical dense index of a profile (agent 0 most significant)."""
-    if ranks is None:
-        ranks = preference_ranks(instance)
+    ranks = instance.preference_rank
     idx = 0
     for pref in profile:
         idx = idx * len(ranks) + ranks[pref]

@@ -16,6 +16,7 @@ from .core import (
     MalformedAssignmentError,
     Preference,
     Profile,
+    profile_index,
 )
 
 
@@ -75,7 +76,7 @@ def run_lp(alpha: CompromiserAssignment, profile: Profile) -> Outcome:
     n, m = inst.n, inst.m
     feasible = alpha.constraint.feasible
     cells = alpha.cells
-    powers = [m**i for i in range(n)]
+    powers = inst.powers
 
     pos = [0] * n
     x = [pref[0] for pref in profile]
@@ -148,8 +149,6 @@ class MechanismTable:
         return frozenset(self.table)
 
     def lookup(self, profile: Profile) -> Assignment:
-        from .core import profile_index
-
         return self.instance.decode(self.table[profile_index(self.instance, profile)])
 
 
@@ -188,22 +187,12 @@ def mechanism_difference(f: MechanismTable, g: MechanismTable) -> Profile | None
         raise ValueError("tables must share an instance")
     for idx, (a, b) in enumerate(zip(f.table, g.table)):
         if a != b:
-            return _profile_at(f.instance, idx)
+            return f.instance.profile_at(idx)
     return None
 
 
 def mechanisms_equal(f: MechanismTable, g: MechanismTable) -> bool:
     return mechanism_difference(f, g) is None
-
-
-def _profile_at(instance: Instance, index: int) -> Profile:
-    prefs = instance.all_preferences()
-    k = len(prefs)
-    out = []
-    for _ in range(instance.n):
-        index, r = divmod(index, k)
-        out.append(prefs[r])
-    return tuple(reversed(out))
 
 
 def is_truncation(long: Trace, short: Trace) -> bool:

@@ -4,7 +4,6 @@ the two non-examples (immediate acceptance, marriage deferred acceptance)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .core import (
@@ -85,13 +84,6 @@ def _check_order(instance: Instance, order: Sequence[int]) -> tuple[int, ...]:
     return tuple(order)
 
 
-@lru_cache(maxsize=64)
-def _feasible_assignments(constraint: Constraint) -> tuple[Assignment, ...]:
-    """The feasible allocations, decoded once per constraint, in code order."""
-    inst = constraint.instance
-    return tuple(inst.decode(c) for c in sorted(constraint.feasible))
-
-
 def _dictator_picks(
     pool: Sequence[Assignment], agents: Iterable[int], profile: Sequence[Sequence[int]]
 ) -> Sequence[Assignment]:
@@ -110,7 +102,7 @@ def serial_dictatorship(
     """Each dictator in turn takes their favorite object compatible with the
     picks of earlier dictators."""
     order = _check_order(constraint.instance, order)
-    return _dictator_picks(_feasible_assignments(constraint), order, profile)[0]
+    return _dictator_picks(constraint.feasible_assignments, order, profile)[0]
 
 
 def sd_alpha(constraint: Constraint, order: Sequence[int]) -> CompromiserAssignment:
@@ -118,13 +110,12 @@ def sd_alpha(constraint: Constraint, order: Sequence[int]) -> CompromiserAssignm
     is incompatible with the entries of all earlier dictators."""
     inst = constraint.instance
     order = _check_order(inst, order)
-    feasible_assignments = _feasible_assignments(constraint)
     cells = {}
     for code in range(inst.num_allocations):
         if code in constraint.feasible:
             continue
         x = inst.decode(code)
-        pool = feasible_assignments
+        pool = constraint.feasible_assignments
         culprit = None
         for agent in order:
             if not any(a[agent] == x[agent] for a in pool):

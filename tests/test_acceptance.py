@@ -20,6 +20,7 @@ from localpriority.core import (
     tau,
 )
 from localpriority.engine import (
+    MechanismTable,
     is_implementable,
     mechanisms_equal,
     run_lp,
@@ -211,10 +212,15 @@ def test_criterion_05_theorem_harness(enumerated):
         for result in (house_result, perturbed_result):
             assert result.complete
             assert result.count > 0
-            for alpha in result.assignments:
-                table = tabulate(alpha)
+            grouped = []
+            for key, members in result.mechanism_groups.items():
+                for k in members:
+                    assert tabulate(result.assignments[k]).table == key
+                grouped += members
+                table = MechanismTable(result.constraint, key)
                 assert is_group_strategy_proof(table).holds
                 assert is_pareto_efficient(table).holds
+            assert sorted(grouped) == list(range(result.count))
             sample = result.assignments[::10]
             for alpha in sample:
                 assert is_forward_consistent(alpha).holds
@@ -259,7 +265,7 @@ def test_criterion_06_characterization(enumerated):
         union_pairs = 0
         for result in enumerated[:2]:
             for table_key, members in result.mechanism_groups.items():
-                table = tabulate(result.assignments[members[0]])
+                table = MechanismTable(result.constraint, table_key)
                 derived = derive_alpha(table)
                 assert is_forward_consistent(derived).holds
                 assert tabulate(derived).table == table.table
@@ -286,8 +292,8 @@ def touched_tables(inst3, da_tables, sd_tables, ia_spec, enumerated):
         )
     )
     for result in enumerated[:2]:
-        for members in result.mechanism_groups.values():
-            tables.append(tabulate(result.assignments[members[0]]))
+        for key in result.mechanism_groups:
+            tables.append(MechanismTable(result.constraint, key))
     return tables
 
 
@@ -303,8 +309,6 @@ def test_criterion_07_oracle_equivalence(inst3, touched_tables):
             entries = tuple(
                 rng.choice(feasible) for _ in range(inst2.num_profiles)
             )
-            from localpriority.engine import MechanismTable
-
             small.append(MechanismTable(constraint, entries))
         for table in touched_tables + small:
             gsp = is_group_strategy_proof(table).holds

@@ -401,3 +401,23 @@ def test_mechanisms_ttc():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["allocation"] == ["c", "b", "a"]
+
+
+@pytest.mark.parametrize("args,message", [
+    (("check", "--mechanism", "da", "--props", "sp"), "da needs --spec"),
+    (("check", "--mechanism", "ia", "--props", "sp"), "ia needs --spec"),
+    (("derive", "--mechanism", "da"), "da needs --spec"),
+    (("mechanisms", "--mechanism", "marriage", "--profile", fx("profile_marriage_1.json")),
+     "marriage needs --spec"),
+    (("check", "--mechanism", "ttc", "--constraint", fx("house.json"), "--props", "sp"),
+     "ttc needs --endowment"),
+    (("derive", "--mechanism", "ttc", "--constraint", fx("house.json")),
+     "ttc needs --endowment"),
+    (("mechanisms", "--mechanism", "ttc", "--constraint", fx("house.json"),
+      "--profile", fx("profile_ttc.json")), "ttc needs --endowment"),
+])
+def test_missing_mechanism_file_exits_two(args, message):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"

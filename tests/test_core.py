@@ -135,6 +135,85 @@ def test_profile_index_matches_enumeration_order(inst2):
         assert profile_index(inst2, profile) == idx
 
 
+ENCODING_SHAPES = [(1, 1), (1, 3), (2, 3), (3, 2), (4, 3)]
+
+
+def _instance(n, m):
+    return Instance(tuple(f"i{k}" for k in range(n)), tuple(f"o{k}" for k in range(m)))
+
+
+@pytest.mark.parametrize("n,m", ENCODING_SHAPES)
+def test_profile_index_and_profile_at_invert_each_other(n, m):
+    inst = _instance(n, m)
+    count = 0
+    for i, p in enumerate(inst.all_profiles()):
+        assert profile_index(inst, p) == i
+        assert inst.profile_at(i) == p
+        count += 1
+    assert count == inst.num_profiles
+    for bad in (-1, inst.num_profiles):
+        with pytest.raises(ValueError):
+            inst.profile_at(bad)
+
+
+@pytest.mark.parametrize("n,m", ENCODING_SHAPES)
+def test_codes_round_trip_in_code_order(n, m):
+    inst = _instance(n, m)
+    for code, a in enumerate(inst.all_assignments()):
+        assert inst.encode(a) == code
+        assert inst.decode(inst.encode(a)) == a
+        assert sum(obj * place for obj, place in zip(a, inst.powers)) == code
+    assert inst.decode_table == tuple(inst.all_assignments())
+
+
+@pytest.mark.parametrize("n,m", ENCODING_SHAPES)
+def test_positions_and_strides_match_the_definitions(n, m):
+    inst = _instance(n, m)
+    prefs = inst.all_preferences()
+    assert len(prefs) == math.factorial(m)
+    for rank, pref in enumerate(prefs):
+        assert inst.preference_rank[pref] == rank
+        assert inst.positions[rank] == tuple(pref.index(obj) for obj in range(m))
+    for i, p in enumerate(inst.all_profiles()):
+        for agent, stride in enumerate(inst.strides):
+            rank = inst.preference_rank[p[agent]]
+            if rank + 1 < len(prefs):
+                q = p[:agent] + (prefs[rank + 1],) + p[agent + 1 :]
+                assert profile_index(inst, q) == i + stride
+
+
+def test_cached_tables_leave_equality_and_hashing_alone():
+    used, fresh = _instance(3, 2), _instance(3, 2)
+    for attr in ("n", "m", "num_allocations", "num_profiles", "powers",
+                 "preference_rank", "positions", "strides", "decode_table"):
+        getattr(used, attr)
+    used.all_preferences()
+    assert used == fresh
+    assert hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert {used: "x"}[fresh] == "x"
+    assert _instance(3, 3) != used
+
+
+def test_encode_and_decode_keep_their_checks():
+    inst = _instance(2, 3)
+    inst.decode(0)
+    assert "decode_table" not in vars(inst)  # decoding one code builds no table
+    for code in (-1, inst.num_allocations):
+        with pytest.raises(ValueError):
+            inst.decode(code)
+    for bad in ((0,), (0, 0, 0), (0, 3), (-1, 0)):
+        with pytest.raises(ValueError):
+            inst.encode(bad)
+
+
+def test_feasible_assignments_in_code_order(house3):
+    inst = house3.instance
+    assert house3.feasible_assignments == tuple(
+        inst.decode(c) for c in sorted(house3.feasible)
+    )
+
+
 def test_school_generator_soundness(inst3):
     constraint = school_constraint(inst3, (1, 2, 1))
     for code in range(inst3.num_allocations):
