@@ -184,30 +184,55 @@ def _coalition_sweep(f: MechanismTable, sizes: Iterable[int], name: str) -> Verd
 
 def is_maskin_monotonic(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verdict:
     """Outcome preserved whenever every agent's lower contour set at their
-    assigned object weakly expands."""
+    assigned object weakly expands.
+
+    For each profile p, visits only the profiles q where every agent's lower
+    contour set at f(p) weakly expands, in ascending index order, so the
+    first witness is the one a sweep over all profile pairs finds.
+    MASKIN_PAIR_BUDGET bounds the number of these pairs, which is counted
+    before any pair is visited.
+    """
     _check_budget(f, budget)
-    if f.instance.num_profiles**2 > MASKIN_PAIR_BUDGET:
-        raise ScaleLimitError("profile-pair sweep exceeds the Maskin budget")
     inst = f.instance
-    table, dec, n = f.table, inst.decode_table, inst.n
+    table, dec, strides, n, m = f.table, inst.decode_table, inst.strides, inst.n, inst.m
+    # A ranking's lower contour set at obj contains a given set of c objects
+    # iff it ranks obj first among those c + 1 objects, as k / (c + 1) of the
+    # k rankings do. At place t, obj has c = m - 1 - t objects below it.
+    k = len(inst.all_preferences())
+    widths = [[k // (m - t) for t in row] for row in inst.positions]
+    pairs = 0
+    for pranks, xc in zip(_rank_tuples(inst), table):
+        pairs += math.prod(widths[r][obj] for r, obj in zip(pranks, dec[xc]))
+        if pairs > MASKIN_PAIR_BUDGET:
+            raise ScaleLimitError("profile-pair sweep exceeds the Maskin budget")
     # lc[r][obj]: bitmask of objects strictly below obj under ranking r
     lc = []
     for p in inst.all_preferences():
-        row = [0] * inst.m
+        row = [0] * m
         below = 0
         for obj in reversed(p):
             row[obj] = below
             below |= 1 << obj
         lc.append(tuple(row))
-    rank_tuples = list(_rank_tuples(inst))
-    for pidx, pranks in enumerate(rank_tuples):
-        xc = table[pidx]
+    # axes[i, obj, mask]: ascending index offsets of agent i's rankings whose
+    # lower contour set at obj contains mask
+    axes: dict[tuple[int, int, int], tuple[int, ...]] = {}
+    for pidx, (pranks, xc) in enumerate(zip(_rank_tuples(inst), table)):
         x = dec[xc]
-        masks = tuple(lc[pranks[i]][x[i]] for i in range(n))
-        for qidx, qranks in enumerate(rank_tuples):
-            if table[qidx] == xc:
-                continue
-            if all(lc[qranks[i]][x[i]] & masks[i] == masks[i] for i in range(n)):
+        # q's index is one offset per agent summed; agent 0 has the largest
+        # stride, so the qualifying indices come out ascending
+        qs = [0]
+        for i in range(n):
+            obj = x[i]
+            mask = lc[pranks[i]][obj]
+            axis = axes.get((i, obj, mask))
+            if axis is None:
+                axis = axes[i, obj, mask] = tuple(
+                    s * strides[i] for s, row in enumerate(lc) if row[obj] & mask == mask
+                )
+            qs = [q + off for q in qs for off in axis]
+        for qidx in qs:
+            if table[qidx] != xc:
                 return Verdict(
                     "maskin_monotonic",
                     False,

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import CompromiserAssignment, DEFAULT_PROFILE_BUDGET
-from .engine import Exhausted, is_implementable, run_lp
+from .engine import Exhausted, run_lp
 from .consistency import Reading, is_consistent, is_forward_consistent
 
 
@@ -20,6 +21,45 @@ class DominanceReport:
     hypothesis_failures: tuple[str, ...] = ()
 
 
+def _welfare_sweep(
+    alpha: CompromiserAssignment,
+    alpha_prime: CompromiserAssignment,
+    agents: Sequence[int],
+    preferred: int,
+) -> tuple[list[str], dict | None]:
+    """One run of each assignment at every profile. Returns the labels of the
+    assignments that ever exhaust, and the first profile, with the first of
+    `agents`, where the outcome of the `preferred` assignment (0 for alpha, 1
+    for alpha_prime) is strictly worse for that agent than the other one's.
+    Profiles where either assignment exhausts are skipped."""
+    exhausted = [False, False]
+    witness = None
+    for profile in alpha.instance.all_profiles():
+        outs = (run_lp(alpha, profile), run_lp(alpha_prime, profile))
+        stuck = False
+        for k, out in enumerate(outs):
+            if isinstance(out, Exhausted):
+                exhausted[k] = stuck = True
+        if stuck or witness is not None:
+            continue
+        kept, other = outs[preferred].assignment, outs[1 - preferred].assignment
+        for i in agents:
+            if profile[i].index(kept[i]) > profile[i].index(other[i]):
+                witness = {
+                    "profile": profile,
+                    "agent": i,
+                    "outcome_alpha": outs[0].assignment,
+                    "outcome_alpha_prime": outs[1].assignment,
+                }
+                break
+    failures = [
+        f"{label}_not_implementable"
+        for label, ever in zip(("alpha", "alpha_prime"), exhausted)
+        if ever
+    ]
+    return failures, witness
+
+
 def check_pointwise_dominance(
     alpha: CompromiserAssignment,
     alpha_prime: CompromiserAssignment,
@@ -32,33 +72,11 @@ def check_pointwise_dominance(
     if alpha.instance != alpha_prime.instance:
         raise ValueError("comparisons need a common instance")
     alpha.instance.check_profile_budget(budget)
-    failures = [
-        f"{label}_not_implementable"
-        for label, a in (("alpha", alpha), ("alpha_prime", alpha_prime))
-        if not is_implementable(a, budget)
-    ]
+    failures, witness = _welfare_sweep(alpha, alpha_prime, range(alpha.instance.n), 0)
     if not alpha.is_subset_of(alpha_prime):
         failures.append("not_pointwise_subset")
     if not is_forward_consistent(alpha_prime).holds:
         failures.append("alpha_prime_not_forward_consistent")
-
-    witness = None
-    for profile in alpha.instance.all_profiles():
-        small = run_lp(alpha, profile)
-        big = run_lp(alpha_prime, profile)
-        if isinstance(small, Exhausted) or isinstance(big, Exhausted):
-            continue
-        for i, pref in enumerate(profile):
-            if pref.index(small.assignment[i]) > pref.index(big.assignment[i]):
-                witness = {
-                    "profile": profile,
-                    "agent": i,
-                    "outcome_alpha": small.assignment,
-                    "outcome_alpha_prime": big.assignment,
-                }
-                break
-        if witness:
-            break
     return DominanceReport("pointwise", witness is None, witness, tuple(failures))
 
 
@@ -82,11 +100,8 @@ def check_agent_dominance(
     failures = []
     if alpha.constraint.feasible != alpha_prime.constraint.feasible:
         failures.append("different_constraints")
-    failures.extend(
-        f"{label}_not_implementable"
-        for label, a in (("alpha", alpha), ("alpha_prime", alpha_prime))
-        if not is_implementable(a, budget)
-    )
+    not_implementable, witness = _welfare_sweep(alpha, alpha_prime, (agent,), 1)
+    failures.extend(not_implementable)
     if not is_consistent(alpha, reading).holds:
         failures.append("alpha_not_consistent")
     if not is_consistent(alpha_prime, reading).holds:
@@ -101,19 +116,4 @@ def check_agent_dominance(
             failures.append("agent_not_weakly_less_in_alpha_prime")
             break
 
-    witness = None
-    for profile in inst.all_profiles():
-        base = run_lp(alpha, profile)
-        better = run_lp(alpha_prime, profile)
-        if isinstance(base, Exhausted) or isinstance(better, Exhausted):
-            continue
-        pref = profile[agent]
-        if pref.index(better.assignment[agent]) > pref.index(base.assignment[agent]):
-            witness = {
-                "profile": profile,
-                "agent": agent,
-                "outcome_alpha": base.assignment,
-                "outcome_alpha_prime": better.assignment,
-            }
-            break
     return DominanceReport(f"agent:{agent}", witness is None, witness, tuple(failures))

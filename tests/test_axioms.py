@@ -3,16 +3,19 @@ import random
 import pytest
 
 from localpriority.core import (
+    Constraint,
+    Instance,
     ScaleLimitError,
     profiles_with_tops,
     school_constraint,
     tau,
 )
-from localpriority.engine import tabulate, tabulate_function
+from localpriority.engine import MechanismTable, tabulate, tabulate_function
 from localpriority.mechanisms import (
     da_alpha,
     immediate_acceptance,
     marriage_da,
+    sd_alpha,
     ttc_alpha,
 )
 from localpriority.axioms import (
@@ -244,6 +247,49 @@ def test_maskin_witness_recheck(da_table):
         lo_q, _ = contours(q[i], x[i])
         assert lo_p <= lo_q
     assert tuple(witness["transformed_outcome"]) != tuple(x)
+
+
+def _full_n3_m4():
+    inst = Instance(("1", "2", "3"), ("a", "b", "c", "d"))
+    return Constraint(inst, frozenset(range(inst.num_allocations)), ("explicit",))
+
+
+class _CountedEntries(tuple):
+    """Table entries that record every lookup by index."""
+
+    def __new__(cls, entries):
+        out = super().__new__(cls, entries)
+        out.reads = []
+        return out
+
+    def __getitem__(self, idx):
+        self.reads.append(idx)
+        return super().__getitem__(idx)
+
+
+def test_maskin_refuses_over_budget_pairs_before_visiting_any():
+    # everyone holds a at every profile: per agent, a sits at each of the 4
+    # places in 6 rankings, with 24 / (4 - place) rankings keeping its lower
+    # contour set, so 6 * (6 + 8 + 12 + 24) = 300 and 300**3 = 27,000,000 pairs
+    full = _full_n3_m4()
+    entries = _CountedEntries([full.instance.encode((0, 0, 0))] * full.instance.num_profiles)
+    with pytest.raises(ScaleLimitError):
+        is_maskin_monotonic(MechanismTable(full, entries))
+    assert entries.reads == []
+
+
+def test_maskin_checks_n3_m4_under_the_pair_budget():
+    # everyone holds their top choice: 6**3 qualifying pairs at each of the
+    # 13,824 profiles, 2,985,984 in all
+    table = tabulate(sd_alpha(_full_n3_m4(), (0, 1, 2)))
+    assert is_maskin_monotonic(table).holds
+
+
+def test_maskin_keeps_the_profile_budget(ttc_table):
+    size = ttc_table.instance.num_profiles
+    with pytest.raises(ScaleLimitError):
+        is_maskin_monotonic(ttc_table, budget=size - 1)
+    assert is_maskin_monotonic(ttc_table, budget=size).holds
 
 
 def test_tabulated_alphas_pass_characterizing_conditions(da_spec, ttc_endowment, inst3):

@@ -1,24 +1,26 @@
 """The table sweeps against slow reference loops.
 
 Each reference walks `all_profiles()`, reads outcomes with `lookup`, and spells
-out every misreport, coalition or feasible improvement. The fast sweeps must
-return the same verdict and the same first witness.
+out every misreport, coalition, transformed profile or feasible improvement.
+The fast sweeps must return the same verdict and the same first witness.
 """
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localpriority.axioms import (
     is_group_strategy_proof,
+    is_maskin_monotonic,
     is_nonbossy,
     is_pareto_efficient,
     is_strategy_proof,
 )
 from localpriority.core import Constraint, Instance, profile_index
-from localpriority.engine import MechanismTable, tabulate_function
-from localpriority.mechanisms import serial_dictatorship
+from localpriority.engine import MechanismTable, tabulate, tabulate_function
+from localpriority.mechanisms import da_alpha, serial_dictatorship, ttc_alpha
 
 SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3)]
 
@@ -103,6 +105,27 @@ def reference_pe(f):
     return None
 
 
+def _lower(pref, obj):
+    return set(pref[pref.index(obj) + 1 :])
+
+
+def reference_maskin(f):
+    """First pair (p, q), in profile order, where every agent's lower contour
+    set at f(p) weakly expands from p to q and the outcome changes."""
+    inst = f.instance
+    outcomes = [(q, f.lookup(q)) for q in inst.all_profiles()]
+    for p, x in outcomes:
+        for q, y in outcomes:
+            if y != x and all(_lower(p[i], x[i]) <= _lower(q[i], x[i]) for i in range(inst.n)):
+                return {
+                    "profile": p,
+                    "transformed_profile": q,
+                    "outcome": x,
+                    "transformed_outcome": y,
+                }
+    return None
+
+
 def _tables(n, m, seed):
     """Random tables, serial dictatorships, and one-entry perturbations of
     the dictatorships, on seeded random constraints."""
@@ -144,7 +167,49 @@ def test_table_sweeps_match_reference_loops(n, m):
             is_group_strategy_proof(f, exhaustive=True), reference_gsp(f, range(1, n + 1))
         )
         _agrees(is_pareto_efficient(f), reference_pe(f))
+        _agrees(is_maskin_monotonic(f), reference_maskin(f))
     assert any(i > 0 for i in sp_witness_indices)
+
+
+def test_maskin_matches_reference_on_ttc_and_da(ttc_endowment, da_spec):
+    for alpha in (ttc_alpha(ttc_endowment), da_alpha(da_spec)):
+        f = tabulate(alpha)
+        _agrees(is_maskin_monotonic(f), reference_maskin(f))
+
+
+def test_maskin_witness_follows_profile_order():
+    # Everyone gets c everywhere except at two profiles. At profile 0 c is
+    # last for both agents, so every profile qualifies, and profile 0 itself
+    # keeps the outcome. The changed profiles are (abc, cba) at index 5 and
+    # (acb, abc) at index 6: walking agent 1's rankings first would reach
+    # index 6 first, and strict expansion would skip index 5, whose lower
+    # contour sets at c stay empty.
+    inst = Instance(("1", "2"), ("a", "b", "c"))
+    constraint = Constraint(inst, frozenset(range(inst.num_allocations)), ("explicit",))
+    entries = [inst.encode((2, 2))] * inst.num_profiles
+    entries[5] = inst.encode((0, 1))
+    entries[6] = inst.encode((1, 0))
+    f = MechanismTable(constraint, tuple(entries))
+    verdict = is_maskin_monotonic(f)
+    _agrees(verdict, reference_maskin(f))
+    assert verdict.witness["profile"] == inst.profile_at(0)
+    assert verdict.witness["transformed_profile"] == inst.profile_at(5)
+
+
+@st.composite
+def two_agent_tables(draw):
+    inst = Instance(("1", "2"), tuple("abc"[: draw(st.sampled_from((2, 3)))]))
+    feasible = sorted(draw(st.sets(st.integers(0, inst.num_allocations - 1), min_size=1)))
+    entries = draw(st.lists(
+        st.sampled_from(feasible), min_size=inst.num_profiles, max_size=inst.num_profiles
+    ))
+    return MechanismTable(Constraint(inst, frozenset(feasible), ("explicit",)), tuple(entries))
+
+
+@given(two_agent_tables())
+@settings(max_examples=60, deadline=None)
+def test_maskin_matches_reference_on_generated_tables(f):
+    _agrees(is_maskin_monotonic(f), reference_maskin(f))
 
 
 def test_first_sp_violation_past_profile_zero():
