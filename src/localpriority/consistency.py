@@ -18,14 +18,22 @@ from .core import (
     diff,
 )
 from .engine import (
+    Final,
     MechanismTable,
     NotImplementableError,
     mechanism_difference,
+    run_lp,
     tabulate,
     tabulate_function,
 )
-from .axioms import Verdict, is_group_strategy_proof, is_nonbossy, is_pareto_efficient
-from .mechanisms import _dictator_picks
+from .axioms import (
+    Verdict,
+    derive_alpha,
+    is_group_strategy_proof,
+    is_nonbossy,
+    is_pareto_efficient,
+)
+from .mechanisms import _dictator_picks, serial_dictatorship
 
 Reading = Literal["strict", "relaxed"]
 READINGS = ("strict", "relaxed")
@@ -435,8 +443,6 @@ def find_pe_not_gsp(
     but bossy (hence not group strategy-proof). Optional pinned (profile,
     allocation) pairs restrict the search to mechanisms with those exact
     outcomes. Returns None on budget exhaustion, never a fabricated witness."""
-    from .engine import Final, run_lp
-
     examined = 0
     for constraint in constraints:
         for alpha in _all_cell_choices(constraint):
@@ -487,8 +493,6 @@ def _gsp_backward_candidates(
     """Group strategy-proof candidate tables: plain serial dictatorships, then
     sequential dictatorships whose continuation order hinges on the first
     dictator's pick."""
-    from .mechanisms import serial_dictatorship
-
     inst = constraint.instance
     for order in itertools.permutations(range(inst.n)):
         yield "serial_dictatorship", order, tabulate_function(
@@ -516,8 +520,6 @@ def find_gsp_backward_violation(
     strategy-proof table yet violates backward consistency. Candidates are
     canonical assignments derived from greedy dictatorship families over the
     given constraints; None means the budget ran out without a witness."""
-    from .axioms import derive_alpha
-
     examined = 0
     for constraint in constraints:
         for family, params, table in _gsp_backward_candidates(constraint):

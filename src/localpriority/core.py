@@ -104,6 +104,28 @@ class Instance:
         return tuple(k ** (self.n - 1 - i) for i in range(self.n))
 
     @cached_property
+    def factorials(self) -> tuple[int, ...]:
+        """factorials[k] = k! for k = 0..m."""
+        return tuple(math.factorial(k) for k in range(self.m + 1))
+
+    @cached_property
+    def prefix_children(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Per bitmask of the objects in a ranking prefix of length L, one
+        (object, rank offset, child mask) per object that can come next, in
+        ascending object order. The rankings sharing a prefix form one
+        contiguous rank range of (m - L)! rankings, and the child for the j-th
+        unused object starts j * (m - L - 1)! ranks after its parent."""
+        m, fact = self.m, self.factorials
+        out = []
+        for mask in range(1 << m):
+            unused = [obj for obj in range(m) if not mask >> obj & 1]
+            span = fact[len(unused) - 1] if unused else 0
+            out.append(
+                tuple((obj, j * span, mask | 1 << obj) for j, obj in enumerate(unused))
+            )
+        return tuple(out)
+
+    @cached_property
     def decode_table(self) -> tuple[Assignment, ...]:
         """Every assignment by code. Dense, so only table sweeps build it."""
         return tuple(self.all_assignments())

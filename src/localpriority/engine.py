@@ -35,11 +35,10 @@ class Trace:
 
 @dataclass(frozen=True)
 class Final:
-    """The algorithm reached a feasible allocation, also given by its code."""
+    """The algorithm reached a feasible allocation."""
 
     assignment: Assignment
     trace: Trace
-    code: int
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ def run_lp(alpha: CompromiserAssignment, profile: Profile) -> Outcome:
     while True:
         if code in feasible:
             steps.append((tuple(x), frozenset()))
-            return Final(tuple(x), Trace(profile, tuple(steps)), code)
+            return Final(tuple(x), Trace(profile, tuple(steps)))
         cell = cells.get(code)
         if not cell:
             raise MalformedAssignmentError(
@@ -138,7 +137,7 @@ class MechanismTable:
         inst = self.constraint.instance
         if len(self.table) != inst.num_profiles:
             raise ValueError("table must be total over all profiles")
-        if any(code not in self.constraint.feasible for code in self.table):
+        if not self.constraint.feasible.issuperset(self.table):
             raise ValueError("table entry outside the feasible set")
 
     @property
@@ -157,15 +156,95 @@ def tabulate(
 ) -> MechanismTable:
     """Dense table of the local priority mechanism. This is the one
     implementability sweep: exhaustion raises NotImplementableError carrying
-    the lexicographically first exhausting profile."""
+    the lexicographically first exhausting profile, with the agent and step
+    that `run_lp` reports on it.
+
+    A run reads each agent's ranking only down to the object the agent stops
+    at, so every profile that shares those ranking prefixes has the same run.
+    The sweep walks prefixes depth first instead of running once per profile.
+    The roots are the top-choice vectors, agent 0 most significant; at an
+    infeasible allocation each agent in the cell branches over the objects not
+    yet in their prefix. A node's profiles are the product of its agents'
+    contiguous rank ranges (`Instance.prefix_children`), so a feasible leaf
+    fills its whole block of the table. The lowest index in a failing leaf's
+    block is the first profile whose run fails there; the sweep keeps the
+    lowest one over all failing leaves and prunes every subtree whose block
+    starts at or after it.
+    """
     inst = alpha.instance
     inst.check_profile_budget(budget)
-    entries = []
-    for profile in inst.all_profiles():
-        out = run_lp(alpha, profile)
-        if isinstance(out, Exhausted):
-            raise NotImplementableError(profile, out.agent, out.step)
-        entries.append(out.code)
+    n, m = inst.n, inst.m
+    feasible = alpha.constraint.feasible
+    cells = alpha.cells
+    powers, strides = inst.powers, inst.strides
+    children, fact = inst.prefix_children, inst.factorials
+    full = (1 << m) - 1
+    step_cap = n * (m - 1) + 1
+    entries = [0] * inst.num_profiles
+    # The node's allocation and, per agent, their prefix as an object mask and
+    # the first rank of its range.
+    x = [0] * n
+    mask = [0] * n
+    lo = [0] * n
+    # (block-min, error type, error arguments) of the failing leaf with the
+    # lowest block-min so far. The error is built only when raised, so no
+    # local refers to it and its traceback.
+    first: tuple[int, type[ValueError], tuple] | None = None
+
+    def fill(code: int) -> None:
+        bases = [0]
+        for i in range(n - 1):
+            s, r, span = strides[i], lo[i], fact[m - mask[i].bit_count()]
+            bases = [b + k * s for b in bases for k in range(r, r + span)]
+        r, span = lo[-1], fact[m - mask[-1].bit_count()]
+        run = [code] * span
+        for b in bases:
+            entries[b + r : b + r + span] = run
+
+    def visit(code: int, bmin: int, depth: int) -> None:
+        nonlocal first
+        if code in feasible:
+            if first is None:
+                fill(code)
+            return
+        cell = cells.get(code)
+        if not cell:
+            message = f"missing or empty cell at infeasible {inst.assignment_names(x)}"
+            first = bmin, MalformedAssignmentError, (message,)
+            return
+        tired = [i for i in cell if mask[i] == full]
+        if tired:
+            first = bmin, NotImplementableError, (inst.profile_at(bmin), min(tired), depth + 1)
+            return
+        if depth >= step_cap:
+            raise AssertionError("rank descent bound violated")
+        move(sorted(cell), 0, code, bmin, depth + 1)
+
+    def move(agents: Sequence[int], k: int, code: int, bmin: int, depth: int) -> None:
+        if k == len(agents):
+            visit(code, bmin, depth)
+            return
+        i = agents[k]
+        x0, mask0, lo0, s, p = x[i], mask[i], lo[i], strides[i], powers[i]
+        for obj, offset, child in children[mask0]:
+            # Every block below this child starts at or after child_min, and
+            # the later children start later still.
+            child_min = bmin + offset * s
+            if first is not None and child_min >= first[0]:
+                break
+            x[i], mask[i], lo[i] = obj, child, lo0 + offset
+            move(agents, k + 1, code + (obj - x0) * p, child_min, depth)
+        x[i], mask[i], lo[i] = x0, mask0, lo0
+
+    try:
+        # The roots: every agent moves from the empty prefix to their top choice.
+        move(range(n), 0, 0, 0, 0)
+    finally:
+        # visit and move refer to each other through their closures; unlinking
+        # them lets reference counting free the sweep, not the cycle collector.
+        visit = move = None
+    if first is not None:
+        raise first[1](*first[2])
     return MechanismTable(alpha.constraint, tuple(entries))
 
 

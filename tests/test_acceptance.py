@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. Exhaustive sweeps use n <= 3
 """
 
 import itertools
+import operator
 import random
 import time
 from contextlib import contextmanager
@@ -343,14 +344,17 @@ def test_criterion_08_subset_equivalence(inst3, da_spec, ttc_endowment):
                     assert tabulate(reduced).table == base.table
 
 
-def _agent_dominance_hypotheses(alpha, alpha_prime, agent, top):
-    for code in range(top):
-        cell, cell_p = alpha.cell(code), alpha_prime.cell(code)
-        if not (cell - {agent}) <= cell_p:
-            return False
-        if agent in cell_p and agent not in cell:
-            return False
-    return True
+def _packed_cells(alpha):
+    """Every cell as an agent bitmask, n bits per allocation code, in one int."""
+    n = alpha.instance.n
+    return sum(1 << (code * n + i) for code, cell in alpha.cells.items() for i in cell)
+
+
+def _agent_dominance_hypotheses(packed, packed_prime, agent_bits):
+    """At every code, alpha's cell minus the agent lies within alpha_prime's,
+    and the agent is not in alpha_prime's cell unless also in alpha's.
+    `agent_bits` holds the agent's bit at every code."""
+    return not (packed & ~packed_prime & ~agent_bits or packed_prime & ~packed & agent_bits)
 
 
 def test_criterion_09_comparative_statics(inst3, da_spec, nested_pair, nonmonotone_pair, enumerated):
@@ -375,7 +379,6 @@ def test_criterion_09_comparative_statics(inst3, da_spec, nested_pair, nonmonoto
         # consistent sets satisfies designated-agent dominance
         for result in enumerated[:2]:
             inst = result.constraint.instance
-            tables = [tabulate(a).table for a in result.assignments]
             dec = [inst.decode(c) for c in range(inst.num_allocations)]
             prefs = inst.all_preferences()
             pos = [
@@ -384,19 +387,29 @@ def test_criterion_09_comparative_statics(inst3, da_spec, nested_pair, nonmonoto
             digit_prefs = list(
                 itertools.product(range(len(prefs)), repeat=inst.n)
             )
-            top = inst.num_allocations
+            # places[k][agent][idx]: the agent's place for their own outcome
+            # under assignment k at profile idx
+            places = []
+            for a in result.assignments:
+                table = tabulate(a).table
+                places.append([
+                    [pos[ranks[agent]][dec[code][agent]] for ranks, code in zip(digit_prefs, table)]
+                    for agent in range(inst.n)
+                ])
+            packed = [_packed_cells(a) for a in result.assignments]
+            agent_bits = [
+                sum(1 << (code * inst.n + agent) for code in range(inst.num_allocations))
+                for agent in range(inst.n)
+            ]
             checked_full = 0
             for i_a, alpha_a in enumerate(result.assignments):
                 for i_b, alpha_b in enumerate(result.assignments):
                     for agent in range(inst.n):
-                        if not _agent_dominance_hypotheses(alpha_a, alpha_b, agent, top):
+                        if not _agent_dominance_hypotheses(
+                            packed[i_a], packed[i_b], agent_bits[agent]
+                        ):
                             continue
-                        ta, tb = tables[i_a], tables[i_b]
-                        for idx, ranks in enumerate(digit_prefs):
-                            pr = pos[ranks[agent]]
-                            assert (
-                                pr[dec[tb[idx]][agent]] <= pr[dec[ta[idx]][agent]]
-                            )
+                        assert all(map(operator.le, places[i_b][agent], places[i_a][agent]))
                         if i_a != i_b and checked_full < 5:
                             full = check_agent_dominance(alpha_a, alpha_b, agent)
                             assert full.holds and not full.hypothesis_failures

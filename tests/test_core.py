@@ -182,10 +182,32 @@ def test_positions_and_strides_match_the_definitions(n, m):
                 assert profile_index(inst, q) == i + stride
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_prefix_children_give_contiguous_rank_ranges(m):
+    inst = _instance(1, m)
+    prefs = inst.all_preferences()
+    assert inst.factorials == tuple(math.factorial(k) for k in range(m + 1))
+    stack = [((), 0, 0)]
+    seen = 0
+    while stack:
+        prefix, mask, lo = stack.pop()
+        span = inst.factorials[m - len(prefix)]
+        ranks = [r for r, pref in enumerate(prefs) if pref[: len(prefix)] == prefix]
+        assert ranks == list(range(lo, lo + span))
+        assert mask == sum(1 << obj for obj in prefix)
+        kids = inst.prefix_children[mask]
+        assert [obj for obj, _, _ in kids] == [o for o in range(m) if o not in prefix]
+        for obj, offset, child in kids:
+            stack.append((prefix + (obj,), child, lo + offset))
+        seen += 1
+    assert seen == sum(math.perm(m, k) for k in range(m + 1))
+
+
 def test_cached_tables_leave_equality_and_hashing_alone():
     used, fresh = _instance(3, 2), _instance(3, 2)
     for attr in ("n", "m", "num_allocations", "num_profiles", "powers",
-                 "preference_rank", "positions", "strides", "decode_table"):
+                 "preference_rank", "positions", "strides", "decode_table",
+                 "factorials", "prefix_children"):
         getattr(used, attr)
     used.all_preferences()
     assert used == fresh

@@ -281,14 +281,19 @@ def _naive_first_exhausting(alpha):
     return None
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_find_exhausting_profile_matches_naive_sweep(m):
-    inst = Instance(("1", "2"), tuple("abc"[:m]))
+def _check_every_cell_choice(n, m):
+    """Every assignment on four small infeasible sets, against the naive
+    sweep, `run_lp` per profile, and brute-force enumeration."""
+    inst = Instance(tuple(str(k) for k in range(1, n + 1)), tuple("abc"[:m]))
     codes = range(inst.num_allocations)
-    subsets = [frozenset({0}), frozenset({1}), frozenset({0, 1})]
+    subsets = [
+        frozenset(s) for k in range(1, n + 1) for s in itertools.combinations(range(n), k)
+    ]
     unconstrained = EnumerationOptions(require_forward=False, require_backward=False)
-    diagonal = {k * (m + 1) for k in range(m)}
+    diagonal = {k * sum(inst.powers) for k in range(m)}
     for infeasible in ({0}, {0, 1}, {1, 2}, diagonal):
+        if not infeasible < set(codes):
+            continue
         constraint = Constraint(inst, frozenset(codes) - infeasible, ("explicit",))
         cells = sorted(infeasible)
         implementable = set()
@@ -304,3 +309,13 @@ def test_find_exhausting_profile_matches_naive_sweep(m):
                 implementable.add(combo)
         brute = brute_force_consistent(constraint, unconstrained)
         assert {tuple(alpha.cells[c] for c in cells) for alpha in brute} == implementable
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_find_exhausting_profile_matches_naive_sweep(m):
+    _check_every_cell_choice(2, m)
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (3, 2), (3, 3), (4, 2)])
+def test_find_exhausting_profile_matches_naive_sweep_other_shapes(n, m):
+    _check_every_cell_choice(n, m)

@@ -1,8 +1,9 @@
 """The table sweeps against slow reference loops.
 
-Each reference walks `all_profiles()`, reads outcomes with `lookup`, and spells
-out every misreport, coalition, transformed profile or feasible improvement.
-The fast sweeps must return the same verdict and the same first witness.
+Each reference walks `all_profiles()`, reads outcomes with `lookup` (or runs
+`run_lp`), and spells out every misreport, coalition, transformed profile or
+feasible improvement. The fast sweeps must return the same verdict and the
+same first witness.
 """
 
 import itertools
@@ -18,9 +19,30 @@ from localpriority.axioms import (
     is_pareto_efficient,
     is_strategy_proof,
 )
-from localpriority.core import Constraint, Instance, profile_index
-from localpriority.engine import MechanismTable, tabulate, tabulate_function
-from localpriority.mechanisms import da_alpha, serial_dictatorship, ttc_alpha
+from localpriority.core import (
+    CompromiserAssignment,
+    Constraint,
+    Instance,
+    MalformedAssignmentError,
+    make_alpha,
+    profile_index,
+)
+from localpriority.engine import (
+    Exhausted,
+    MechanismTable,
+    NotImplementableError,
+    run_lp,
+    tabulate,
+    tabulate_function,
+)
+from localpriority.mechanisms import (
+    Endowment,
+    SchoolSpec,
+    da_alpha,
+    sd_alpha,
+    serial_dictatorship,
+    ttc_alpha,
+)
 
 SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3)]
 
@@ -228,3 +250,137 @@ def test_first_sp_violation_past_profile_zero():
     assert gsp.witness == reference_gsp(perturbed, (1, 2))
     assert gsp.witness["coalition"] == (sp.witness["agent"],)
     assert gsp.witness["misreports"] == (sp.witness["misreport"],)
+
+
+TABULATE_SHAPES = [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3)]
+
+
+def reference_tabulate(alpha):
+    """`run_lp` on every profile: the table's entries, or the error of the
+    first profile whose run exhausts."""
+    inst = alpha.instance
+    entries = []
+    for p in inst.all_profiles():
+        out = run_lp(alpha, p)
+        if isinstance(out, Exhausted):
+            return NotImplementableError(p, out.agent, out.step)
+        entries.append(inst.encode(out.assignment))
+    return tuple(entries)
+
+
+def _tabulate_agrees(alpha):
+    """Same table as the reference, or the same exhaustion; returns the
+    exhausting profile, if any."""
+    expected = reference_tabulate(alpha)
+    if isinstance(expected, tuple):
+        assert tabulate(alpha).table == expected
+        return None
+    with pytest.raises(NotImplementableError) as err:
+        tabulate(alpha)
+    got = err.value
+    assert (got.profile, got.agent, got.step, str(got)) == (
+        expected.profile, expected.agent, expected.step, str(expected)
+    )
+    return got.profile
+
+
+def _random_cells(rng, constraint, subsets):
+    inst = constraint.instance
+    return make_alpha(constraint, {
+        c: rng.choice(subsets) for c in range(inst.num_allocations) if c not in constraint.feasible
+    })
+
+
+def _perturbed(rng, alpha, subsets):
+    """The assignment with one cell replaced by another nonempty agent set."""
+    cells = dict(alpha.cells)
+    if not cells:
+        return alpha
+    code = rng.choice(sorted(cells))
+    others = [s for s in subsets if s != cells[code]]
+    if others:
+        cells[code] = rng.choice(others)
+    return make_alpha(alpha.constraint, cells)
+
+
+def _assignments(n, m, seed, rounds):
+    """Random assignments, serial dictatorships, deferred acceptance, TTC
+    (when n = m), and one-cell perturbations of each of the last three, on
+    seeded random constraints."""
+    rng = random.Random(seed)
+    inst = Instance(tuple(str(k) for k in range(n)), tuple("abcd"[:m]))
+    subsets = [
+        frozenset(s) for k in range(1, n + 1) for s in itertools.combinations(range(n), k)
+    ]
+    out = []
+    for _ in range(rounds):
+        size = inst.num_allocations
+        constraint = Constraint(inst, frozenset(rng.sample(range(size), rng.randint(1, size))))
+        out.append(_random_cells(rng, constraint, subsets))
+        built = [sd_alpha(constraint, rng.sample(range(n), n))]
+        caps = [0] * m
+        for _ in range(n):
+            caps[rng.randrange(m)] += 1
+        priorities = tuple(tuple(rng.sample(range(n), n)) for _ in range(m))
+        built.append(da_alpha(SchoolSpec(inst, tuple(caps), priorities)))
+        if n == m:
+            built.append(ttc_alpha(Endowment(inst, tuple(rng.sample(range(n), n)))))
+        out.extend(built)
+        out.extend(_perturbed(rng, alpha, subsets) for alpha in built)
+    return out
+
+
+@pytest.mark.parametrize("n,m", TABULATE_SHAPES)
+def test_tabulate_matches_run_lp_loop(n, m):
+    rounds = 4 if n ** m < 40 else 2
+    witnesses = [
+        _tabulate_agrees(alpha) for alpha in _assignments(n, m, seed=10 * n + m, rounds=rounds)
+    ]
+    assert any(w is None for w in witnesses)
+    if n > 1:
+        # some first exhausting profile lies past the first top-choice vector
+        assert any(w is not None and any(pref[0] for pref in w) for w in witnesses)
+
+
+def test_tabulate_reports_the_first_malformed_run():
+    # A cell missing behind the first exhaustion, and one missing ahead of it:
+    # the sweep reports whichever failure the profile-order loop meets first.
+    inst = Instance(("1", "2"), ("a", "b", "c"))
+    constraint = Constraint(inst, frozenset({inst.encode((0, 1)), inst.encode((1, 0))}))
+    alpha = make_alpha(constraint, {
+        c: {0} for c in range(inst.num_allocations) if c not in constraint.feasible
+    })
+    assert isinstance(reference_tabulate(alpha), NotImplementableError)
+    kinds = set()
+    for code in sorted(alpha.cells):
+        broken = object.__new__(CompromiserAssignment)
+        object.__setattr__(broken, "constraint", constraint)
+        object.__setattr__(broken, "cells", {c: s for c, s in alpha.cells.items() if c != code})
+        try:
+            expected = reference_tabulate(broken)
+        except MalformedAssignmentError as exc:
+            expected = exc
+        with pytest.raises(type(expected)) as err:
+            tabulate(broken)
+        assert str(err.value) == str(expected)
+        if isinstance(expected, NotImplementableError):
+            assert err.value.profile == expected.profile
+        kinds.add(type(expected))
+    assert kinds == {MalformedAssignmentError, NotImplementableError}
+
+
+@st.composite
+def two_agent_assignments(draw):
+    inst = Instance(("1", "2"), tuple("abc"[: draw(st.sampled_from((2, 3)))]))
+    codes = range(inst.num_allocations)
+    feasible = draw(st.sets(st.sampled_from(codes), min_size=1))
+    cells = {
+        c: draw(st.sets(st.sampled_from((0, 1)), min_size=1)) for c in codes if c not in feasible
+    }
+    return make_alpha(Constraint(inst, frozenset(feasible)), cells)
+
+
+@given(two_agent_assignments())
+@settings(max_examples=80, deadline=None)
+def test_tabulate_matches_run_lp_loop_on_generated_assignments(alpha):
+    _tabulate_agrees(alpha)
