@@ -66,19 +66,15 @@ def bottom_rank(pref: Preference, obj: int) -> Preference:
     return tuple(o for o in pref if o != obj) + (obj,)
 
 
-def _check_budget(f: MechanismTable, budget: int) -> None:
-    f.instance.check_profile_budget(budget)
-
-
 def is_strategy_proof(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verdict:
     """No single agent gains by misreporting, at any profile."""
-    _check_budget(f, budget)
+    f.instance.check_profile_budget(budget)
     return _coalition_sweep(f, (1,), "strategy_proof")
 
 
 def is_nonbossy(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verdict:
     """No agent changes others' assignments without changing their own."""
-    _check_budget(f, budget)
+    f.instance.check_profile_budget(budget)
     inst = f.instance
     table, dec, strides = f.table, inst.decode_table, inst.strides
     prefs = inst.all_preferences()
@@ -117,7 +113,7 @@ def is_group_strategy_proof(
     Default mode checks singletons and pairs, which is equivalent to checking
     all coalition sizes; `exhaustive` sweeps every coalition.
     """
-    _check_budget(f, budget)
+    f.instance.check_profile_budget(budget)
     sizes = range(1, f.instance.n + 1) if exhaustive else (1, 2)
     return _coalition_sweep(f, sizes, "group_strategy_proof")
 
@@ -192,7 +188,7 @@ def is_maskin_monotonic(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET)
     MASKIN_PAIR_BUDGET bounds the number of these pairs, which is counted
     before any pair is visited.
     """
-    _check_budget(f, budget)
+    f.instance.check_profile_budget(budget)
     inst = f.instance
     table, dec, strides, n, m = f.table, inst.decode_table, inst.strides, inst.n, inst.m
     # A ranking's lower contour set at obj contains a given set of c objects
@@ -246,21 +242,17 @@ def is_maskin_monotonic(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET)
     return Verdict("maskin_monotonic", True)
 
 
-def is_pareto_efficient(
-    f: MechanismTable,
-    constraint: Constraint | None = None,
-    budget: int = DEFAULT_PROFILE_BUDGET,
-) -> Verdict:
+def is_pareto_efficient(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verdict:
     """No feasible allocation weakly improves on the outcome for everyone and
     strictly for someone, at any profile."""
-    _check_budget(f, budget)
-    constraint = constraint or f.constraint
+    f.instance.check_profile_budget(budget)
     inst = f.instance
     table, dec, pos, n = f.table, inst.decode_table, inst.positions, inst.n
+    feasible = f.constraint.feasible_assignments
     for pidx, pranks in enumerate(_rank_tuples(inst)):
         x = dec[table[pidx]]
         xpos = tuple(pos[pranks[i]][x[i]] for i in range(n))
-        for y in constraint.feasible_assignments:
+        for y in feasible:
             better = 0
             for i in range(n):
                 yp = pos[pranks[i]][y[i]]
@@ -292,7 +284,7 @@ def _image_note(f: MechanismTable) -> tuple[str, ...]:
 
 def check_unanimity(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verdict:
     """Whenever the top-choice vector lies in the image, it is chosen."""
-    _check_budget(f, budget)
+    f.instance.check_profile_budget(budget)
     inst = f.instance
     image = f.image()
     notes = _image_note(f)
@@ -350,7 +342,7 @@ def fixed_compromisers(
 
 def check_fixed_compromiser(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verdict:
     """Every allocation outside the image has a nonempty fixed-compromiser set."""
-    _check_budget(f, budget)
+    f.instance.check_profile_budget(budget)
     inst = f.instance
     image = f.image()
     notes = _image_note(f)
@@ -375,7 +367,7 @@ def check_compromiser_invariance(
 ) -> Verdict:
     """Bottom-ranking every fixed compromiser's top leaves the outcome
     unchanged, for every mu and every profile top-ranking mu."""
-    _check_budget(f, budget)
+    f.instance.check_profile_budget(budget)
     inst = f.instance
     notes = _image_note(f)
     if mus is None:
@@ -416,7 +408,7 @@ def derive_alpha(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Com
     Raises MalformedAssignmentError when some cell comes out empty, i.e. when
     the fixed-compromiser condition fails.
     """
-    _check_budget(f, budget)
+    f.instance.check_profile_budget(budget)
     inst = f.instance
     image = f.image()
     cells = {}

@@ -1,7 +1,8 @@
-"""Forward and backward consistency of compromiser assignments, i-connected
-search, subset/union equivalences, the consistency-implies-GSP harness, and
-searches for the two existence witnesses (an efficient-but-bossy mechanism and
-a group strategy-proof one violating backward consistency)."""
+"""Forward and backward consistency of compromiser assignments (backward
+consistency searches the allocations each agent is i-connected to),
+subset/union equivalences, the consistency-implies-GSP harness, and searches
+for the two existence witnesses (an efficient-but-bossy mechanism and a group
+strategy-proof one violating backward consistency)."""
 
 from __future__ import annotations
 
@@ -113,14 +114,14 @@ def _neighbors(
 
 
 def _connect_search(
-    alpha: CompromiserAssignment, x_code: int, agent: int, target: int | None
-) -> dict[int, tuple[int, ...]] | tuple[Assignment, ...] | None:
+    alpha: CompromiserAssignment, x_code: int, agent: int
+) -> dict[int, tuple[int, ...]]:
     """BFS over (allocation, abandoned-objects) states starting with a move by
-    `agent` alone. With a target, returns the first witness path; without one,
-    returns every infeasible allocation reached (mapped to a witness path)."""
+    `agent` alone. Returns every infeasible allocation reached, mapped to the
+    codes along the first witness path found to it."""
     inst = alpha.instance
     if agent not in alpha.cell(x_code):
-        return None if target is not None else {}
+        return {}
     x = inst.decode(x_code)
     start_ab = tuple(
         (1 << x[agent]) if i == agent else 0 for i in range(inst.n)
@@ -141,27 +142,13 @@ def _connect_search(
     while queue:
         code, ab, path = queue.popleft()
         if code not in alpha.constraint.feasible:
-            if target is not None and code == target:
-                return tuple(inst.decode(c) for c in path)
             reached.setdefault(code, path)
             for nxt, nab in _neighbors(alpha, code, ab):
                 state = (nxt, nab)
                 if state not in seen:
                     seen.add(state)
                     queue.append((nxt, nab, path + (nxt,)))
-    return None if target is not None else reached
-
-
-def i_connected(
-    alpha: CompromiserAssignment, x: Sequence[int], y: Sequence[int], agent: int
-) -> tuple[Assignment, ...] | None:
-    """Witness path showing y is reachable from x by an acyclic compromise
-    sequence whose first move changes exactly `agent`, or None."""
-    inst = alpha.instance
-    x_code, y_code = inst.encode(x), inst.encode(y)
-    if x_code in alpha.constraint.feasible or y_code in alpha.constraint.feasible:
-        raise ValueError("i-connectedness is defined between infeasible allocations")
-    return _connect_search(alpha, x_code, agent, y_code)
+    return reached
 
 
 def validate_connection_path(
@@ -201,7 +188,7 @@ def is_backward_consistent(
     feasible = alpha.constraint.feasible
     for agent in range(inst.n):
         for x_code in sorted(alpha.cells):
-            reached = _connect_search(alpha, x_code, agent, None)
+            reached = _connect_search(alpha, x_code, agent)
             if not reached:
                 continue
             x = inst.decode(x_code)
@@ -389,17 +376,6 @@ class SearchResult:
     alpha: CompromiserAssignment
     table: MechanismTable
     detail: dict
-
-
-def small_infeasible_variants(
-    instance: Instance, max_infeasible: int
-) -> Iterator[Constraint]:
-    """Explicit constraints with small infeasible sets, canonical order."""
-    codes = range(instance.num_allocations)
-    for k in range(1, max_infeasible + 1):
-        for infeasible in itertools.combinations(codes, k):
-            feasible = frozenset(codes) - frozenset(infeasible)
-            yield Constraint(instance, feasible, ("explicit",))
 
 
 def _all_cell_choices(

@@ -200,33 +200,9 @@ class Instance:
 
 
 @dataclass(frozen=True)
-class Suballocation:
-    """An allocation restricted to a subset of agents (possibly empty)."""
-
-    agents: tuple[int, ...]
-    objects: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.agents) != len(self.objects):
-            raise ValueError("agents and objects must align")
-        if tuple(sorted(self.agents)) != self.agents or len(set(self.agents)) != len(
-            self.agents
-        ):
-            raise ValueError("agents must be sorted and distinct")
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[int, int]) -> Suballocation:
-        agents = tuple(sorted(mapping))
-        return cls(agents, tuple(mapping[i] for i in agents))
-
-    def as_mapping(self) -> dict[int, int]:
-        return dict(zip(self.agents, self.objects))
-
-
-@dataclass(frozen=True)
 class Constraint:
     """A nonempty set of feasible allocations, stored as codes, plus the
-    generator tag it was built from (for regeneration identity checks)."""
+    generator tag it was built from (for file round trips)."""
 
     instance: Instance
     feasible: frozenset[int]
@@ -240,14 +216,8 @@ class Constraint:
             if not 0 <= code < top:
                 raise ValueError(f"feasible code {code} out of range")
 
-    def is_feasible(self, code: int) -> bool:
-        return code in self.feasible
-
     def infeasible_codes(self) -> list[int]:
         return [c for c in range(self.instance.num_allocations) if c not in self.feasible]
-
-    def feasible_codes(self) -> list[int]:
-        return sorted(self.feasible)
 
     @cached_property
     def feasible_assignments(self) -> tuple[Assignment, ...]:
@@ -328,25 +298,6 @@ def two_sided_constraint(
     return Constraint(
         instance, frozenset(feas), ("two_sided", tuple(sorted(men_idx)), tuple(sorted(women_idx)))
     )
-
-
-def regenerate(constraint: Constraint) -> Constraint:
-    """Rebuild a constraint from its generator tag."""
-    kind = constraint.generator[0]
-    inst = constraint.instance
-    if kind == "house":
-        return house_constraint(inst)
-    if kind == "school":
-        return school_constraint(inst, constraint.generator[1])
-    if kind == "social":
-        return social_constraint(inst)
-    if kind == "one_sided":
-        return one_sided_constraint(inst)
-    if kind == "two_sided":
-        men = [inst.agents[i] for i in constraint.generator[1]]
-        women = [inst.agents[i] for i in constraint.generator[2]]
-        return two_sided_constraint(inst, men, women)
-    return Constraint(inst, constraint.feasible, constraint.generator)
 
 
 @dataclass(frozen=True)
@@ -444,34 +395,6 @@ def diff(x: Sequence[int], y: Sequence[int]) -> frozenset[int]:
     if len(x) != len(y):
         raise ValueError("allocations must be over the same instance")
     return frozenset(i for i in range(len(x)) if x[i] != y[i])
-
-
-def project(constraint: Constraint, agents: Iterable[int]) -> set[Suballocation]:
-    """Restrictions of the feasible allocations to a subset of agents."""
-    inst = constraint.instance
-    subset = tuple(sorted(set(agents)))
-    if any(not 0 <= i < inst.n for i in subset):
-        raise ValueError("agent index out of range")
-    out = set()
-    for code in constraint.feasible:
-        a = inst.decode(code)
-        out.add(Suballocation(subset, tuple(a[i] for i in subset)))
-    return out
-
-
-def extend(constraint: Constraint, nu: Suballocation) -> set[int]:
-    """Codes of all feasible complete extensions of a suballocation (possibly
-    empty)."""
-    inst = constraint.instance
-    if any(not 0 <= i < inst.n for i in nu.agents):
-        raise ValueError("agent index out of range")
-    fixed = nu.as_mapping()
-    out = set()
-    for code in constraint.feasible:
-        a = inst.decode(code)
-        if all(a[i] == obj for i, obj in fixed.items()):
-            out.add(code)
-    return out
 
 
 def profiles_with_tops(instance: Instance, mu: Sequence[int]) -> Iterator[Profile]:

@@ -1,11 +1,10 @@
 """The local priority algorithm: traces, outcomes, implementability sweeps,
-extensional mechanism tables, and marginal mechanisms."""
+and extensional mechanism tables."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     Assignment,
@@ -14,7 +13,6 @@ from .core import (
     DEFAULT_PROFILE_BUDGET,
     Instance,
     MalformedAssignmentError,
-    Preference,
     Profile,
     profile_index,
 )
@@ -272,53 +270,3 @@ def mechanism_difference(f: MechanismTable, g: MechanismTable) -> Profile | None
 
 def mechanisms_equal(f: MechanismTable, g: MechanismTable) -> bool:
     return mechanism_difference(f, g) is None
-
-
-def is_truncation(long: Trace, short: Trace) -> bool:
-    """True iff the short trace's allocation sequence is a suffix of the long one's."""
-    a, b = long.allocations, short.allocations
-    if len(b) > len(a):
-        return False
-    return a[len(a) - len(b) :] == b
-
-
-def rank_vector(profile: Profile, x: Sequence[int]) -> tuple[int, ...]:
-    """Per agent, the size of the upper contour set of their assigned object.
-
-    Zero exactly when the agent holds their top choice; componentwise
-    nondecreasing along any trace.
-    """
-    return tuple(pref.index(obj) for pref, obj in zip(profile, x))
-
-
-def marginal(
-    f: MechanismTable, fixed: Mapping[int, Preference]
-) -> MechanismTable:
-    """Marginal mechanism over the agents not in `fixed`, holding the given
-    preferences constant; the result's constraint is the image of the marginal
-    map."""
-    inst = f.instance
-    for i, pref in fixed.items():
-        if not 0 <= i < inst.n:
-            raise ValueError(f"agent index {i} out of range")
-        if tuple(sorted(pref)) != tuple(range(inst.m)):
-            raise ValueError("fixed preference must rank every object exactly once")
-    free = [i for i in range(inst.n) if i not in fixed]
-    if not free:
-        raise ValueError("marginal needs at least one free agent")
-    if len(free) == inst.n:
-        return MechanismTable(
-            Constraint(inst, f.image(), ("explicit",)), f.table
-        )
-
-    sub_inst = Instance(tuple(inst.agents[i] for i in free), inst.objects)
-    prefs = inst.all_preferences()
-    entries = []
-    for sub_profile in itertools.product(prefs, repeat=len(free)):
-        full = list(fixed.items())
-        full.extend(zip(free, sub_profile))
-        full.sort()
-        outcome = f.lookup(tuple(p for _, p in full))
-        entries.append(sub_inst.encode(tuple(outcome[i] for i in free)))
-    image = frozenset(entries)
-    return MechanismTable(Constraint(sub_inst, image, ("explicit",)), tuple(entries))

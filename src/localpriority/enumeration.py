@@ -182,8 +182,13 @@ class _Search:
     def _build_forward(self) -> None:
         """Per (cell, mask): None when some proper-subset move reaches a
         feasible allocation with compromisers left over; otherwise the list of
-        (other cell, required mask) forward-consistency consequences."""
-        self.forward: list[list[None | tuple[tuple[int, int], ...]]] = []
+        (other cell, required mask) forward-consistency consequences. Without
+        forward consistency every nonempty mask is allowed and has none."""
+        self.forward: list[list[None | tuple[tuple[int, int], ...]]]
+        if not self.options.require_forward:
+            self.forward = [[None] + [()] * self.full_mask for _ in self.cells]
+            return
+        self.forward = []
         for k in range(len(self.cells)):
             per_mask: list[None | tuple[tuple[int, int], ...]] = [None] * (
                 self.full_mask + 1
@@ -202,34 +207,19 @@ class _Search:
                     sub = (sub - 1) & mask
                 per_mask[mask] = tuple(cons) if ok else None
             self.forward.append(per_mask)
-        if not self.options.require_forward:
-            # keep only the per-cell validity filter implied by nothing:
-            # without forward consistency every nonempty mask is allowed.
-            self.forward = [
-                [None] + [()] * self.full_mask for _ in self.cells
-            ]
 
     def _build_backward_pairs(self) -> None:
-        """Ordered cell pairs one coordinate apart: (x cell, y cell, agent)."""
-        inst = self.inst
-        pairs = []
-        for k, code in enumerate(self.cells):
-            x = inst.decode(code)
-            for i in range(self.n):
-                for obj in range(inst.m):
-                    if obj == x[i]:
-                        continue
-                    y = list(x)
-                    y[i] = obj
-                    y_code = inst.encode(y)
-                    if y_code in self.constraint.feasible:
-                        continue
-                    pairs.append((k, self.index[y_code], i))
+        """Ordered cell pairs one coordinate apart, (x cell, y cell, agent),
+        filed under the later of the two cells. They are the one-agent moves
+        of the move tables."""
         self.backward_pairs_at: list[list[tuple[int, int, int]]] = [
             [] for _ in self.cells
         ]
-        for k, j, i in pairs:
-            self.backward_pairs_at[max(k, j)].append((k, j, i))
+        for k, per_mask in enumerate(self.moved_infeasible):
+            for i in range(self.n):
+                for y_code in per_mask[1 << i]:
+                    j = self.index[y_code]
+                    self.backward_pairs_at[max(k, j)].append((k, j, i))
 
     def _apply_backward(
         self, depth: int, undo: list[tuple[int, int]]
@@ -339,6 +329,9 @@ def enumerate_consistent(
     order; emitted assignments are implementable and satisfy the requested
     consistency conditions, in canonical order."""
     options = options or EnumerationOptions()
+    # Every leaf tabulates under this budget; checking it first refuses an
+    # oversized instance before the move tables are built.
+    constraint.instance.check_profile_budget()
     search = _Search(constraint, options)
     complete = search.run()
     result = EnumerationResult(

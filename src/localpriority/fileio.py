@@ -161,19 +161,6 @@ def load_school_spec(doc: Mapping[str, Any], inst: Instance | None = None) -> Sc
     return SchoolSpec(inst, caps, priorities)
 
 
-def dump_school_spec(spec: SchoolSpec) -> dict:
-    inst = spec.instance
-    return {
-        "agents": list(inst.agents),
-        "objects": list(inst.objects),
-        "capacities": {inst.objects[o]: q for o, q in enumerate(spec.capacities)},
-        "priorities": {
-            inst.objects[o]: [inst.agents[i] for i in order]
-            for o, order in enumerate(spec.priorities)
-        },
-    }
-
-
 def load_endowment(doc: Mapping[str, Any], inst: Instance) -> Endowment:
     owner = [0] * inst.n
     for agent, obj in doc.items():
@@ -181,11 +168,6 @@ def load_endowment(doc: Mapping[str, Any], inst: Instance) -> Endowment:
             continue
         owner[inst.agent_index(agent)] = inst.object_index(obj)
     return Endowment(inst, tuple(owner))
-
-
-def dump_endowment(e: Endowment) -> dict:
-    inst = e.instance
-    return {inst.agents[i]: inst.objects[o] for i, o in enumerate(e.owner)}
 
 
 def load_order(doc: Sequence[str], inst: Instance) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,20 @@ def test_enumerate_streams_summary(tmp_path):
     for line in lines[:-1]:
         doc = json.loads(line)
         assert set(doc) == {"agents", "objects", "cells"}
+
+
+def test_enumerate_refuses_oversized_constraint_up_front():
+    # 720^6 profiles: refused by the leaves' profile budget before the search
+    # builds its move tables, which at 6 agents and 6 objects exhaust memory
+    start = time.perf_counter()
+    proc = run_cli(
+        "enumerate", "--constraint", fx("marriage_constraint.json"),
+        "--forward", "--backward", "--dedupe",
+    )
+    assert time.perf_counter() - start < 60
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: profile sweep of size {720**6} exceeds budget 2000000\n"
 
 
 def test_compare_pointwise_flags_nested_pair():

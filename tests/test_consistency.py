@@ -15,12 +15,11 @@ from localpriority.mechanisms import da_alpha, ttc_alpha
 from localpriority.axioms import derive_alpha, is_group_strategy_proof, is_pareto_efficient
 from localpriority.consistency import (
     HarnessReport,
+    _connect_search,
     find_gsp_backward_violation,
     find_pe_not_gsp,
-    i_connected,
     is_backward_consistent,
     is_forward_consistent,
-    small_infeasible_variants,
     theorem_harness,
     validate_connection_path,
     verify_subset_equivalence,
@@ -54,24 +53,40 @@ def test_singleton_cells_are_forward_consistent(inst3, house3):
     assert is_forward_consistent(alpha).holds
 
 
+def _connections(alpha, x, agent):
+    """Every allocation that x is i-connected to, for i = agent, with its witness path."""
+    inst = alpha.instance
+    reached = _connect_search(alpha, inst.encode(x), agent)
+    return {inst.decode(y): tuple(inst.decode(c) for c in path) for y, path in reached.items()}
+
+
 def test_i_connected_two_step_path(backward_fixture):
-    path = i_connected(backward_fixture, (A, A, A), (B, A, A), 0)
+    path = _connections(backward_fixture, (A, A, A), 0)[(B, A, A)]
     assert path == ((A, A, A), (B, A, A))
     assert validate_connection_path(backward_fixture, path, 0)
 
 
 def test_i_connected_self_is_never_connected(backward_fixture):
-    assert i_connected(backward_fixture, (A, A, A), (A, A, A), 0) is None
+    assert (A, A, A) not in _connections(backward_fixture, (A, A, A), 0)
 
 
 def test_i_connected_requires_infeasible_endpoints(backward_fixture):
-    with pytest.raises(ValueError):
-        i_connected(backward_fixture, (A, A, A), (C, C, C), 0)
+    # every allocation reached is infeasible (the feasible (c, c, c) never is),
+    # and its witness path passes the naive re-check
+    alpha = backward_fixture
+    inst = alpha.instance
+    assert inst.encode((C, C, C)) in alpha.constraint.feasible
+    for agent in range(inst.n):
+        for x in alpha.cells:
+            for y, path in _connections(alpha, inst.decode(x), agent).items():
+                assert inst.encode(y) not in alpha.constraint.feasible
+                assert path[-1] == y
+                assert validate_connection_path(alpha, path, agent)
 
 
 def test_i_connected_two_agent_swap_pair(nonmonotone_pair):
     _, alpha2 = nonmonotone_pair
-    path = i_connected(alpha2, (A, A), (B, B), 1)
+    path = _connections(alpha2, (A, A), 1)[(B, B)]
     assert path == ((A, A), (A, B), (B, B))
     assert validate_connection_path(alpha2, path, 1)
 
@@ -229,7 +244,11 @@ def test_theorem_harness_matches_per_assignment_loop(inst2, feasible, reading):
 
 
 def test_find_pe_not_gsp_respects_budget(inst3):
-    assert find_pe_not_gsp(small_infeasible_variants(inst3, 1), budget=5) is None
+    # one infeasible allocation each, in code order
+    constraints = [
+        Constraint(inst3, frozenset(range(27)) - {code}, ("explicit",)) for code in range(27)
+    ]
+    assert find_pe_not_gsp(constraints, budget=5) is None
 
 
 def test_find_pe_not_gsp_finds_verified_witness(inst3):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -8,22 +9,19 @@ from localpriority.core import (
     Instance,
     MalformedAssignmentError,
     ScaleLimitError,
-    Suballocation,
     contours,
     diff,
-    extend,
     house_constraint,
     make_alpha,
     one_sided_constraint,
     profile_index,
     profiles_with_tops,
-    project,
-    regenerate,
     school_constraint,
     social_constraint,
     tau,
     two_sided_constraint,
 )
+from localpriority.fileio import dump_constraint, dumps, load_constraint
 
 from conftest import A, B, C
 
@@ -101,21 +99,6 @@ def test_diff():
     assert diff((A, A, A), (B, A, A)) == {0}
     assert diff((A, B, C), (A, B, C)) == frozenset()
     assert diff((A, B, C), (C, B, A)) == {0, 2}
-
-
-def test_project_house_single_agent(house3):
-    subs = project(house3, [0])
-    assert {s.objects[0] for s in subs} == {A, B, C}
-
-
-def test_extend_social(social3):
-    nu = Suballocation.from_mapping({0: A})
-    assert extend(social3, nu) == {social3.instance.encode((A, A, A))}
-
-
-def test_extend_house_collision(house3):
-    nu = Suballocation.from_mapping({0: A, 1: A})
-    assert extend(house3, nu) == set()
 
 
 def test_profiles_with_tops_cardinality(inst3):
@@ -267,14 +250,23 @@ def test_one_sided_is_involutions():
         assert all(x[x[i]] == i for i in range(3))
 
 
-@pytest.mark.parametrize("builder,args", [
-    (house_constraint, ()),
-    (school_constraint, ((1, 1, 2),)),
-    (social_constraint, ()),
-])
-def test_regenerate_identity(inst3, builder, args):
-    constraint = builder(inst3, *args)
-    assert regenerate(constraint).feasible == constraint.feasible
+@pytest.mark.parametrize("kind", ["house", "school", "social", "one_sided", "two_sided", "explicit"])
+def test_constraint_file_round_trip(inst3, kind):
+    # dump_constraint writes the generator tag; load_constraint rebuilds from it
+    people = Instance(("m1", "m2", "w1"), ("m1", "m2", "w1"))
+    constraint = {
+        "house": lambda: house_constraint(inst3),
+        "school": lambda: school_constraint(inst3, (1, 1, 2)),
+        "social": lambda: social_constraint(inst3),
+        "one_sided": lambda: one_sided_constraint(people),
+        "two_sided": lambda: two_sided_constraint(people, ("m1", "m2"), ("w1",)),
+        "explicit": lambda: Constraint(inst3, frozenset({0, 5, 13, 26})),
+    }[kind]()
+    doc = dump_constraint(constraint)
+    assert doc["kind"] == kind
+    loaded = load_constraint(json.loads(dumps(doc)))
+    assert loaded == constraint
+    assert dump_constraint(loaded) == doc
 
 
 def test_house_needs_enough_objects():

@@ -15,18 +15,15 @@ from localpriority.engine import (
     NotImplementableError,
     find_exhausting_profile,
     is_implementable,
-    is_truncation,
-    marginal,
     mechanism_difference,
     mechanisms_equal,
-    rank_vector,
     run_lp,
     tabulate,
     tabulate_function,
 )
 from localpriority.enumeration import EnumerationOptions, brute_force_consistent
 from localpriority.mechanisms import cumulative_da, da_alpha
-from localpriority.axioms import bottom_rank, is_group_strategy_proof
+from localpriority.axioms import bottom_rank
 
 from conftest import A, B, C
 
@@ -137,26 +134,13 @@ def test_mechanism_difference_witness(nested_pair):
     assert out_a != out_b
 
 
-def test_is_truncation(da_spec, da_profile):
-    trace = run_lp(da_alpha(da_spec), da_profile).trace
-    assert is_truncation(trace, trace)
-    from localpriority.engine import Trace
-
-    tail = Trace(trace.profile, trace.steps[-2:])
-    assert is_truncation(trace, tail)
-    rev = Trace(trace.profile, tuple(reversed(trace.steps)))
-    assert not is_truncation(trace, rev)
-
-
-def test_rank_vector_basics(da_profile):
-    assert rank_vector(da_profile, tau(da_profile, 1)) == (0, 0, 0)
-    all_abc = ((A, B, C),) * 3
-    assert rank_vector(all_abc, (C, B, B)) == (2, 1, 1)
-
-
 def test_rank_vector_monotone_along_trace(da_spec, da_profile):
+    # each agent's rank position in their own ranking never decreases along a
+    # trace, and rises for every agent who compromises
     trace = run_lp(da_alpha(da_spec), da_profile).trace
-    vectors = [rank_vector(da_profile, x) for x in trace.allocations]
+    vectors = [
+        [pref.index(obj) for pref, obj in zip(da_profile, x)] for x in trace.allocations
+    ]
     for (prev_x, moved), prev, cur in zip(trace.steps, vectors, vectors[1:]):
         assert all(c >= p for p, c in zip(prev, cur))
         for agent in moved:
@@ -188,7 +172,6 @@ def test_trace_truncation_after_bottom_ranking(da_spec, da_profile):
     )
     new_trace = run_lp(alpha, moved).trace
     assert new_trace.allocations == trace.allocations[1:]
-    assert is_truncation(trace, new_trace)
 
 
 def test_termination_bound(da_spec):
@@ -202,32 +185,6 @@ def test_termination_bound(da_spec):
 def test_tabulate_image_equals_constraint(da_spec):
     table = tabulate(da_alpha(da_spec))
     assert table.image() == table.constraint.feasible
-
-
-def test_marginal_nothing_fixed(da_spec):
-    table = tabulate(da_alpha(da_spec))
-    assert marginal(table, {}).table == table.table
-
-
-def test_marginal_pair_margins_of_gsp_table_are_gsp(inst3, ttc_endowment):
-    from localpriority.mechanisms import ttc_alpha
-
-    table = tabulate(ttc_alpha(ttc_endowment))
-    for fixed_pref in inst3.all_preferences():
-        sub = marginal(table, {2: fixed_pref})
-        assert is_group_strategy_proof(sub).holds
-
-
-def test_marginal_single_agent_slice(nested_pair):
-    alpha, _ = nested_pair
-    table = tabulate(alpha)
-    inst = table.instance
-    fixed = {1: (A, B, C), 2: (A, B, C)}
-    sub = marginal(table, fixed)
-    assert sub.instance.agents == ("1",)
-    for pref in inst.all_preferences():
-        full = table.lookup((pref, (A, B, C), (A, B, C)))
-        assert sub.lookup((pref,)) == (full[0],)
 
 
 from hypothesis import given, settings, strategies as st

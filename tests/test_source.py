@@ -36,3 +36,62 @@ def test_no_lru_cache_in_package():
 
     found = _find(names_lru_cache)
     assert not found, f"lru_cache in {found}"
+
+
+# Public names that no code in src/ or perfbench/ refers to, each kept for the
+# tests that use it. Any other public name without such a caller is API that
+# only tests reach.
+TEST_ONLY_API = {
+    "tau": "the paper's k-th choice; criterion 04 builds top-choice vectors with it",
+    "contours": "the paper's contour sets; the Maskin witness re-check reads them",
+    "probe_local_priority": "criterion 04 refutes marriage as a local priority mechanism",
+    "verify_subset_equivalence": "criterion 08 checks the sub-assignment theorem with it",
+    "verify_union_closure": "criterion 06 checks union closure with it",
+    "theorem_harness": "the consistency-implies-GSP theorem as one call, against a per-assignment loop",
+    "is_implementable": "criterion 05 and the enumeration tests state implementability with it",
+    "mechanisms_equal": "criteria 01 and 02 compare local priority tables with reference mechanisms",
+    "brute_force_consistent": "the completeness oracle of criterion 11",
+}
+
+
+def _public_definitions():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield node.name
+
+
+def _references(paths):
+    """Every name, attribute, imported name and string constant in the files,
+    except a top-level definition's references to itself."""
+    found = set()
+    for path in paths:
+        for top in ast.parse(path.read_text()).body:
+            names = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.add(node.value)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(top.name)
+            found |= names
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # The re-exports in __init__ and the benchmark's own tests are not callers.
+    callers = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    callers += [
+        path for path in (PACKAGE.parents[1] / "perfbench").glob("*.py")
+        if not path.name.startswith("test_")
+    ]
+    unused = set(_public_definitions()) - _references(callers)
+    test_only = unused - TEST_ONLY_API.keys()
+    assert not test_only, f"public names only tests reach: {sorted(test_only)}"
+    stale = TEST_ONLY_API.keys() - unused
+    assert not stale, f"allow-listed names that have callers: {sorted(stale)}"
