@@ -51,66 +51,62 @@ def is_forward_consistent(alpha: CompromiserAssignment) -> Verdict:
     over is a violation."""
     inst = alpha.instance
     for x_code in sorted(alpha.cells):
-        x = inst.decode(x_code)
-        cell = alpha.cells[x_code]
-        for y_code in _moved_codes(inst, x, cell):
-            y = inst.decode(y_code)
-            owed = cell - diff(x, y)
-            if not owed <= alpha.cell(y_code):
+        cell = sorted(alpha.cells[x_code])
+        for y_code, moved in _moved_codes(inst, x_code, _mask(cell)):
+            cell_y = alpha.cell(y_code)
+            missing = tuple(i for i in cell if not moved >> i & 1 and i not in cell_y)
+            if missing:
                 return Verdict(
                     "forward_consistent",
                     False,
                     {
-                        "x": x,
-                        "y": y,
-                        "alpha_x": tuple(sorted(cell)),
-                        "alpha_y": tuple(sorted(alpha.cell(y_code))),
-                        "missing": tuple(sorted(owed - alpha.cell(y_code))),
+                        "x": inst.decode(x_code),
+                        "y": inst.decode(y_code),
+                        "alpha_x": tuple(cell),
+                        "alpha_y": tuple(sorted(cell_y)),
+                        "missing": missing,
                     },
                 )
     return Verdict("forward_consistent", True)
 
 
-def _moved_codes(inst: Instance, x: Assignment, agents: frozenset[int]) -> list[int]:
-    """Codes of all allocations differing from x only on the given agents,
-    ascending."""
-    coords = sorted(agents)
-    codes = []
-    for combo in itertools.product(range(inst.m), repeat=len(coords)):
-        y = list(x)
-        for i, obj in zip(coords, combo):
-            y[i] = obj
-        codes.append(inst.encode(y))
-    return sorted(codes)
+def _mask(agents: Iterable[int]) -> int:
+    return sum(1 << i for i in agents)
+
+
+def _moved_codes(inst: Instance, x_code: int, mask: int) -> list[tuple[int, int]]:
+    """Every allocation differing from x only on the agents in mask, x itself
+    included, ascending by code. Each comes with the submask of agents whose
+    moves reach it, which is exactly where it differs from x."""
+    found = [(x_code, 0)]
+    sub = mask
+    while sub:
+        found += [(y_code, sub) for y_code in inst.moves(x_code, sub)]
+        sub = (sub - 1) & mask
+    return sorted(found)
 
 
 def _neighbors(
-    alpha: CompromiserAssignment, code: int, abandoned: tuple[int, ...]
-) -> Iterator[tuple[int, tuple[int, ...]]]:
+    alpha: CompromiserAssignment, code: int, abandoned: int
+) -> Iterator[tuple[int, int]]:
     """Legal next states from an allocation along an acyclic compromise path:
-    a nonempty subset of the cell moves, nobody revisits an abandoned object."""
+    a nonempty subset of the cell moves, nobody revisits an abandoned object.
+    Bit i*m + o of `abandoned` is set once agent i has left object o."""
     inst = alpha.instance
+    m, powers = inst.m, inst.powers
     cell = sorted(alpha.cell(code))
-    if not cell:
-        return
-    x = inst.decode(code)
     for size in range(1, len(cell) + 1):
         for subset in itertools.combinations(cell, size):
-            choices = []
+            mask = left = 0
             for i in subset:
-                opts = [
-                    o
-                    for o in range(inst.m)
-                    if o != x[i] and not (abandoned[i] >> o) & 1
-                ]
-                choices.append(opts)
-            for combo in itertools.product(*choices):
-                y = list(x)
-                new_ab = list(abandoned)
-                for i, obj in zip(subset, combo):
-                    new_ab[i] |= 1 << y[i]
-                    y[i] = obj
-                yield inst.encode(y), tuple(new_ab)
+                mask |= 1 << i
+                left |= 1 << (i * m + code // powers[i] % m)
+            for y_code in inst.moves(code, mask):
+                arrived = 0
+                for i in subset:
+                    arrived |= 1 << (i * m + y_code // powers[i] % m)
+                if not arrived & abandoned:
+                    yield y_code, abandoned | left
 
 
 def _connect_search(
@@ -122,23 +118,10 @@ def _connect_search(
     inst = alpha.instance
     if agent not in alpha.cell(x_code):
         return {}
-    x = inst.decode(x_code)
-    start_ab = tuple(
-        (1 << x[agent]) if i == agent else 0 for i in range(inst.n)
-    )
-    queue: deque[tuple[int, tuple[int, ...], tuple[int, ...]]] = deque()
-    seen = set()
+    start_ab = 1 << (agent * inst.m + x_code // inst.powers[agent] % inst.m)
+    queue = deque((code, start_ab, (x_code, code)) for code in inst.moves(x_code, 1 << agent))
+    seen = {(code, start_ab) for code, _, _ in queue}
     reached: dict[int, tuple[int, ...]] = {}
-    for obj in range(inst.m):
-        if obj == x[agent]:
-            continue
-        y = list(x)
-        y[agent] = obj
-        code = inst.encode(y)
-        state = (code, start_ab)
-        if state not in seen:
-            seen.add(state)
-            queue.append((code, start_ab, (x_code, code)))
     while queue:
         code, ab, path = queue.popleft()
         if code not in alpha.constraint.feasible:
@@ -189,13 +172,9 @@ def is_backward_consistent(
     for agent in range(inst.n):
         for x_code in sorted(alpha.cells):
             reached = _connect_search(alpha, x_code, agent)
-            if not reached:
-                continue
-            x = inst.decode(x_code)
             for y_code in sorted(reached):
                 cell_y = alpha.cell(y_code)
-                movers = cell_y - {agent}
-                for xp_code in _moved_codes(inst, x, movers):
+                for xp_code, _ in _moved_codes(inst, x_code, _mask(cell_y - {agent})):
                     if reading == "relaxed" and xp_code in feasible:
                         continue
                     if agent not in alpha.cell(xp_code):
@@ -204,7 +183,7 @@ def is_backward_consistent(
                             False,
                             {
                                 "agent": agent,
-                                "x": x,
+                                "x": inst.decode(x_code),
                                 "y": inst.decode(y_code),
                                 "x_prime": inst.decode(xp_code),
                                 "alpha_y": tuple(sorted(cell_y)),

@@ -126,6 +126,31 @@ class Instance:
         return tuple(out)
 
     @cached_property
+    def _moves(self) -> dict[int, tuple[int, ...]]:
+        """Results of `moves`, keyed by code << n | mask."""
+        return {}
+
+    def moves(self, code: int, mask: int) -> tuple[int, ...]:
+        """Codes reached from `code` by giving every agent in `mask` a
+        different object, in product order: lowest agent outermost, objects
+        ascending. Works on place values, so nothing is decoded."""
+        key = code << self.n | mask
+        found = self._moves.get(key)
+        if found is None:
+            found = [code]
+            for i, place in enumerate(self.powers):
+                if mask >> i & 1:
+                    old = code // place % self.m * place
+                    found = [
+                        c - old + new
+                        for c in found
+                        for new in range(0, self.m * place, place)
+                        if new != old
+                    ]
+            found = self._moves[key] = tuple(found)
+        return found
+
+    @cached_property
     def decode_table(self) -> tuple[Assignment, ...]:
         """Every assignment by code. Dense, so only table sweeps build it."""
         return tuple(self.all_assignments())

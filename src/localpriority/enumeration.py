@@ -13,11 +13,18 @@ the mechanism deduplication.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 
-from .core import CompromiserAssignment, Constraint, Instance
+from .core import CompromiserAssignment, Constraint, Instance, ScaleLimitError
 from .consistency import Reading, _check_reading, is_backward_consistent, is_forward_consistent
 from .engine import NotImplementableError, tabulate
+
+# Codes one search may hold in its move tables: every 4-agent instance within
+# the profile budget needs at most 256 * 255, a 5-agent one 243 * 242.
+MAX_MOVE_CODES = 100_000
+# Stack frames kept free below the deepest `_dfs` call for the leaf checks.
+LEAF_STACK_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -52,32 +59,28 @@ class SymmetryGroup:
 def constraint_symmetries(constraint: Constraint) -> SymmetryGroup:
     inst = constraint.instance
     feasible = constraint.feasible
-    decoded = [inst.decode(c) for c in sorted(feasible)]
     pairs = []
     for aperm in itertools.permutations(range(inst.n)):
         for operm in itertools.permutations(range(inst.m)):
-            ok = True
-            for x in decoded:
-                y = [0] * inst.n
-                for i in range(inst.n):
-                    y[aperm[i]] = operm[x[i]]
-                if inst.encode(y) not in feasible:
-                    ok = False
-                    break
-            if ok:
+            image = _permutation(inst, aperm, operm)
+            if all(image(c) in feasible for c in sorted(feasible)):
                 pairs.append((aperm, operm))
     return SymmetryGroup(constraint, tuple(pairs))
 
 
-def _code_map(inst: Instance, aperm: tuple[int, ...], operm: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for code in range(inst.num_allocations):
-        x = inst.decode(code)
-        y = [0] * inst.n
-        for i in range(inst.n):
-            y[aperm[i]] = operm[x[i]]
-        out.append(inst.encode(y))
-    return tuple(out)
+def _permutation(inst: Instance, aperm: tuple[int, ...], operm: tuple[int, ...]):
+    """The map on codes that hands agent aperm[i] the object operm[o] wherever
+    agent i holds o, read off place values."""
+    places = [[operm[o] * inst.powers[aperm[i]] for o in range(inst.m)] for i in range(inst.n)]
+
+    def image(code: int) -> int:
+        out = 0
+        for row in places:
+            code, obj = divmod(code, inst.m)
+            out += row[obj]
+        return out
+
+    return image
 
 
 def _mask_map(n: int, aperm: tuple[int, ...]) -> tuple[int, ...]:
@@ -130,7 +133,6 @@ class _Search:
         self.constraint = constraint
         self.options = options
         inst = constraint.instance
-        self.inst = inst
         self.cells: list[int] = constraint.infeasible_codes()
         self.index = {code: k for k, code in enumerate(self.cells)}
         self.n = inst.n
@@ -151,33 +153,15 @@ class _Search:
     def _build_moves(self) -> None:
         """moved[k][mask]: codes reachable from cell k by changing exactly the
         agents in mask to different objects (split feasible/infeasible)."""
-        inst = self.inst
+        inst, feasible = self.constraint.instance, self.constraint.feasible
         self.moved_infeasible: list[list[tuple[int, ...]]] = []
         self.moved_any_feasible: list[list[bool]] = []
         for code in self.cells:
-            x = inst.decode(code)
-            per_inf: list[tuple[int, ...]] = [()] * (self.full_mask + 1)
-            per_feas: list[bool] = [False] * (self.full_mask + 1)
-            for mask in range(1, self.full_mask + 1):
-                coords = [i for i in range(self.n) if (mask >> i) & 1]
-                infeas = []
-                feas = False
-                options = [
-                    [o for o in range(inst.m) if o != x[i]] for i in coords
-                ]
-                for combo in itertools.product(*options):
-                    y = list(x)
-                    for i, obj in zip(coords, combo):
-                        y[i] = obj
-                    y_code = inst.encode(y)
-                    if y_code in self.constraint.feasible:
-                        feas = True
-                    else:
-                        infeas.append(y_code)
-                per_inf[mask] = tuple(sorted(infeas))
-                per_feas[mask] = feas
-            self.moved_infeasible.append(per_inf)
-            self.moved_any_feasible.append(per_feas)
+            moved = [inst.moves(code, mask) for mask in range(self.full_mask + 1)]
+            self.moved_infeasible.append(
+                [tuple(sorted(y for y in ys if y not in feasible)) for ys in moved]
+            )
+            self.moved_any_feasible.append([not feasible.isdisjoint(ys) for ys in moved])
 
     def _build_forward(self) -> None:
         """Per (cell, mask): None when some proper-subset move reaches a
@@ -329,9 +313,19 @@ def enumerate_consistent(
     order; emitted assignments are implementable and satisfy the requested
     consistency conditions, in canonical order."""
     options = options or EnumerationOptions()
-    # Every leaf tabulates under this budget; checking it first refuses an
-    # oversized instance before the move tables are built.
-    constraint.instance.check_profile_budget()
+    # Every leaf tabulates under the profile budget, the move tables hold
+    # |cells| * (m^n - 1) codes, and `_dfs` recurses once per cell: an instance
+    # too large for any of them is refused before a table is built.
+    inst = constraint.instance
+    inst.check_profile_budget()
+    cells = inst.num_allocations - len(constraint.feasible)
+    codes = cells * (inst.num_allocations - 1)
+    if codes > MAX_MOVE_CODES:
+        raise ScaleLimitError(f"move tables of {codes} codes exceed guardrail {MAX_MOVE_CODES}")
+    if cells + LEAF_STACK_DEPTH > sys.getrecursionlimit():
+        raise ScaleLimitError(
+            f"{cells} infeasible cells exceed the recursion limit {sys.getrecursionlimit()}"
+        )
     search = _Search(constraint, options)
     complete = search.run()
     result = EnumerationResult(
@@ -349,8 +343,9 @@ def _quotient(result: EnumerationResult) -> list[tuple[CompromiserAssignment, in
     constraint = result.constraint
     inst = constraint.instance
     group = constraint_symmetries(constraint)
+    codes = range(inst.num_allocations)
     actions = [
-        (_code_map(inst, aperm, operm), _mask_map(inst.n, aperm))
+        (tuple(map(_permutation(inst, aperm, operm), codes)), _mask_map(inst.n, aperm))
         for aperm, operm in group.generators
     ]
     cells = constraint.infeasible_codes()

@@ -210,6 +210,19 @@ def test_enumerate_refuses_oversized_constraint_up_front():
     assert proc.stderr == f"error: profile sweep of size {720**6} exceeds budget 2000000\n"
 
 
+def test_enumerate_refuses_oversized_move_tables_up_front(tmp_path):
+    # 7 agents, 3 objects: within the profile budget, but the move tables
+    # would hold 2,184 * 2,186 codes and the search would recurse 2,184 deep
+    path = tmp_path / "social7.json"
+    path.write_text(json.dumps({"agents": list("1234567"), "objects": list("abc"), "kind": "social"}))
+    start = time.perf_counter()
+    proc = run_cli("enumerate", "--constraint", str(path), "--forward", "--backward")
+    assert time.perf_counter() - start < 60
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: move tables of 4774224 codes exceed guardrail 100000\n"
+
+
 def test_compare_pointwise_flags_nested_pair():
     proc = run_cli(
         "compare",

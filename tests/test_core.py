@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -149,6 +150,25 @@ def test_codes_round_trip_in_code_order(n, m):
     assert inst.decode_table == tuple(inst.all_assignments())
 
 
+MOVE_SHAPES = [(1, 3), (2, 2), (2, 4), (3, 3), (4, 3)]
+
+
+@pytest.mark.parametrize("n,m", MOVE_SHAPES)
+def test_moves_match_a_decode_product_encode_loop(n, m):
+    inst = _instance(n, m)
+    for code, x in enumerate(inst.all_assignments()):
+        for mask in range(1 << n):
+            agents = [i for i in range(n) if mask >> i & 1]
+            expected = []
+            for combo in itertools.product(*([o for o in range(m) if o != x[i]] for i in agents)):
+                y = list(x)
+                for i, obj in zip(agents, combo):
+                    y[i] = obj
+                expected.append(inst.encode(y))
+            assert inst.moves(code, mask) == tuple(expected)
+            assert inst.moves(code, mask) is inst.moves(code, mask)
+
+
 @pytest.mark.parametrize("n,m", ENCODING_SHAPES)
 def test_positions_and_strides_match_the_definitions(n, m):
     inst = _instance(n, m)
@@ -190,9 +210,10 @@ def test_cached_tables_leave_equality_and_hashing_alone():
     used, fresh = _instance(3, 2), _instance(3, 2)
     for attr in ("n", "m", "num_allocations", "num_profiles", "powers",
                  "preference_rank", "positions", "strides", "decode_table",
-                 "factorials", "prefix_children"):
+                 "factorials", "prefix_children", "_moves"):
         getattr(used, attr)
     used.all_preferences()
+    used.moves(5, 0b101)
     assert used == fresh
     assert hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)

@@ -1,9 +1,20 @@
+import sys
+import time
+
 import pytest
 
-from localpriority.core import Constraint, Instance, house_constraint, social_constraint
+from localpriority.core import (
+    Constraint,
+    Instance,
+    ScaleLimitError,
+    house_constraint,
+    school_constraint,
+    social_constraint,
+)
 from localpriority.consistency import is_backward_consistent, is_forward_consistent
 from localpriority.engine import is_implementable, tabulate
 from localpriority.enumeration import (
+    LEAF_STACK_DEPTH,
     EnumerationOptions,
     brute_force_consistent,
     constraint_symmetries,
@@ -79,6 +90,42 @@ def test_social_two_by_two_contains_dictatorships():
 def test_budget_exhaustion_reports_incomplete(house3):
     result = enumerate_consistent(house3, EnumerationOptions(budget=50))
     assert not result.complete
+
+
+def test_oversized_move_tables_are_refused_before_any_is_built():
+    # 7 agents, 3 objects: 2,184 cells, 2,186 moves from each, and 279,936
+    # profiles, which the profile budget admits
+    inst = Instance(tuple("1234567"), ("a", "b", "c"))
+    start = time.process_time()
+    with pytest.raises(ScaleLimitError, match="move tables of 4774224 codes"):
+        enumerate_consistent(social_constraint(inst), EnumerationOptions(budget=1000))
+    assert time.process_time() - start < 1
+    assert "_moves" not in vars(inst)
+
+
+def test_search_deeper_than_the_recursion_limit_is_refused(house3):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(house3.infeasible_codes()) + LEAF_STACK_DEPTH - 1)
+    try:
+        with pytest.raises(ScaleLimitError, match="recursion limit"):
+            enumerate_consistent(house3, EnumerationOptions(budget=50))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert enumerate_consistent(house3, EnumerationOptions(budget=50)).pruned_nodes
+
+
+@pytest.mark.parametrize("name", [
+    "house_3x4", "school_4x3_caps_211", "house.json", "school_unit.json", "social.json", "social2.json",
+])
+def test_searches_within_the_guardrails_still_run(name):
+    if name == "house_3x4":
+        constraint = house_constraint(Instance(("1", "2", "3"), tuple("abcd")))
+    elif name == "school_4x3_caps_211":
+        constraint = school_constraint(Instance(tuple("1234"), tuple("abc")), (2, 1, 1))
+    else:
+        constraint = load_constraint(load_fixture(name))
+    result = enumerate_consistent(constraint, EnumerationOptions(budget=500))
+    assert result.pruned_nodes
 
 
 def test_house_symmetry_group_order(house3):

@@ -1,13 +1,17 @@
-"""The table sweeps against slow reference loops.
+"""The table sweeps and consistency checks against slow reference loops.
 
-Each reference walks `all_profiles()`, reads outcomes with `lookup` (or runs
-`run_lp`), and spells out every misreport, coalition, transformed profile or
-feasible improvement. The fast sweeps must return the same verdict and the
-same first witness.
+Each table reference walks `all_profiles()`, reads outcomes with `lookup` (or
+runs `run_lp`), and spells out every misreport, coalition, transformed profile
+or feasible improvement. The consistency references decode every allocation
+and encode every move. The fast code must return the same verdict and the same
+first witness.
 """
 
 import itertools
+import json
 import random
+from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,14 +23,23 @@ from localpriority.axioms import (
     is_pareto_efficient,
     is_strategy_proof,
 )
+from localpriority.consistency import (
+    _connect_search,
+    _mask,
+    _moved_codes,
+    is_backward_consistent,
+    is_forward_consistent,
+)
 from localpriority.core import (
     CompromiserAssignment,
     Constraint,
     Instance,
     MalformedAssignmentError,
+    diff,
     make_alpha,
     profile_index,
 )
+from localpriority.fileio import load_alpha
 from localpriority.engine import (
     Exhausted,
     MechanismTable,
@@ -384,3 +397,160 @@ def two_agent_assignments(draw):
 @settings(max_examples=80, deadline=None)
 def test_tabulate_matches_run_lp_loop_on_generated_assignments(alpha):
     _tabulate_agrees(alpha)
+
+
+def reference_moved_codes(inst, x, agents):
+    """Codes of all allocations differing from x only on the given agents,
+    ascending."""
+    coords = sorted(agents)
+    codes = []
+    for combo in itertools.product(range(inst.m), repeat=len(coords)):
+        y = list(x)
+        for i, obj in zip(coords, combo):
+            y[i] = obj
+        codes.append(inst.encode(y))
+    return sorted(codes)
+
+
+def reference_neighbors(alpha, code, abandoned):
+    """Legal next states with per-agent abandoned-object masks."""
+    inst = alpha.instance
+    cell = sorted(alpha.cell(code))
+    x = inst.decode(code)
+    for size in range(1, len(cell) + 1):
+        for subset in itertools.combinations(cell, size):
+            choices = [
+                [o for o in range(inst.m) if o != x[i] and not (abandoned[i] >> o) & 1]
+                for i in subset
+            ]
+            for combo in itertools.product(*choices):
+                y = list(x)
+                new_ab = list(abandoned)
+                for i, obj in zip(subset, combo):
+                    new_ab[i] |= 1 << y[i]
+                    y[i] = obj
+                yield inst.encode(y), tuple(new_ab)
+
+
+def reference_connect_search(alpha, x_code, agent):
+    inst = alpha.instance
+    if agent not in alpha.cell(x_code):
+        return {}
+    x = inst.decode(x_code)
+    start_ab = tuple((1 << x[agent]) if i == agent else 0 for i in range(inst.n))
+    queue = deque()
+    seen = set()
+    reached = {}
+    for obj in range(inst.m):
+        if obj == x[agent]:
+            continue
+        y = list(x)
+        y[agent] = obj
+        code = inst.encode(y)
+        seen.add((code, start_ab))
+        queue.append((code, start_ab, (x_code, code)))
+    while queue:
+        code, ab, path = queue.popleft()
+        if code not in alpha.constraint.feasible:
+            reached.setdefault(code, path)
+            for nxt, nab in reference_neighbors(alpha, code, ab):
+                if (nxt, nab) not in seen:
+                    seen.add((nxt, nab))
+                    queue.append((nxt, nab, path + (nxt,)))
+    return reached
+
+
+def reference_forward(alpha):
+    inst = alpha.instance
+    for x_code in sorted(alpha.cells):
+        x = inst.decode(x_code)
+        cell = alpha.cells[x_code]
+        for y_code in reference_moved_codes(inst, x, cell):
+            y = inst.decode(y_code)
+            owed = cell - diff(x, y)
+            if not owed <= alpha.cell(y_code):
+                return {
+                    "x": x,
+                    "y": y,
+                    "alpha_x": tuple(sorted(cell)),
+                    "alpha_y": tuple(sorted(alpha.cell(y_code))),
+                    "missing": tuple(sorted(owed - alpha.cell(y_code))),
+                }
+    return None
+
+
+def reference_backward(alpha, reading):
+    inst = alpha.instance
+    feasible = alpha.constraint.feasible
+    for agent in range(inst.n):
+        for x_code in sorted(alpha.cells):
+            reached = reference_connect_search(alpha, x_code, agent)
+            x = inst.decode(x_code)
+            for y_code in sorted(reached):
+                cell_y = alpha.cell(y_code)
+                for xp_code in reference_moved_codes(inst, x, cell_y - {agent}):
+                    if reading == "relaxed" and xp_code in feasible:
+                        continue
+                    if agent not in alpha.cell(xp_code):
+                        return {
+                            "agent": agent,
+                            "x": x,
+                            "y": inst.decode(y_code),
+                            "x_prime": inst.decode(xp_code),
+                            "alpha_y": tuple(sorted(cell_y)),
+                            "alpha_x_prime": tuple(sorted(alpha.cell(xp_code))),
+                            "path": tuple(inst.decode(c) for c in reached[y_code]),
+                            "reading": reading,
+                        }
+    return None
+
+
+def _consistency_agrees(alpha):
+    """Same verdicts and witnesses as the references in both readings, the
+    same moved codes for every cell and agent set, and the same reached maps
+    and paths; returns whether strict backward consistency fails."""
+    inst = alpha.instance
+    _agrees(is_forward_consistent(alpha), reference_forward(alpha))
+    for reading in ("strict", "relaxed"):
+        _agrees(is_backward_consistent(alpha, reading), reference_backward(alpha, reading))
+    for x_code in sorted(alpha.cells):
+        x = inst.decode(x_code)
+        for agents in itertools.chain.from_iterable(
+            itertools.combinations(range(inst.n), k) for k in range(inst.n + 1)
+        ):
+            moved = _moved_codes(inst, x_code, _mask(agents))
+            assert [code for code, _ in moved] == reference_moved_codes(inst, x, agents)
+            assert all(_mask(diff(x, inst.decode(code))) == sub for code, sub in moved)
+        for agent in range(inst.n):
+            assert _connect_search(alpha, x_code, agent) == reference_connect_search(
+                alpha, x_code, agent
+            )
+    return reference_backward(alpha, "strict") is not None
+
+
+CONSISTENCY_SHAPES = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)]
+
+
+@pytest.mark.parametrize("n,m", CONSISTENCY_SHAPES)
+def test_consistency_matches_reference_loops(n, m):
+    failing = [
+        _consistency_agrees(alpha) for alpha in _assignments(n, m, seed=7 * n + m, rounds=6)
+    ]
+    assert any(failing) and not all(failing)
+
+
+def test_consistency_matches_reference_loops_on_fixtures(ttc_endowment):
+    fixtures = Path(__file__).parent / "fixtures"
+    alphas = [
+        load_alpha(json.loads(path.read_text())) for path in sorted(fixtures.glob("*alpha*.json"))
+    ]
+    inst = ttc_endowment.instance
+    alphas += [ttc_alpha(Endowment(inst, owners)) for owners in itertools.permutations(range(inst.n))]
+    failing = [_consistency_agrees(alpha) for alpha in alphas]
+    assert any(failing) and not all(failing)
+
+
+@given(two_agent_assignments())
+@settings(max_examples=60, deadline=None)
+def test_consistency_matches_reference_loops_on_generated_assignments(alpha):
+    _consistency_agrees(alpha)

@@ -38,6 +38,29 @@ def test_no_lru_cache_in_package():
     assert not found, f"lru_cache in {found}"
 
 
+def test_consistency_and_enumeration_encode_no_moves():
+    # Moved allocations come from Instance.moves on codes. The naive path
+    # re-check is the one place that encodes, because it takes decoded paths.
+    found = []
+    for name in ("consistency.py", "enumeration.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        allowed = {
+            id(node)
+            for top in tree.body
+            if isinstance(top, ast.FunctionDef) and top.name == "validate_connection_path"
+            for node in ast.walk(top)
+        }
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "encode"
+            and id(node) not in allowed
+        ]
+    assert not found, f"encode calls in {found}"
+
+
 # Public names that no code in src/ or perfbench/ refers to, each kept for the
 # tests that use it. Any other public name without such a caller is API that
 # only tests reach.
