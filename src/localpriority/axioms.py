@@ -307,28 +307,14 @@ def check_unanimity(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> 
 
 
 def fixed_compromisers(
-    f: Mechanism,
-    mu: Sequence[int],
-    profiles: Iterable[Profile] | None = None,
-    budget: int = DEFAULT_PROFILE_BUDGET,
+    f: Mechanism, mu: Sequence[int], profiles: Iterable[Profile]
 ) -> frozenset[int]:
-    """Agents who fail to receive their component of mu at every profile
-    top-ranking mu.
-
-    With explicit `profiles`, intersects over those only; this upper-bounds
-    the full intersection, so an empty result refutes the fixed-compromiser
-    condition at mu regardless of the profiles left unexamined.
-    """
+    """Agents who miss their component of mu at every given profile, each of
+    which must top-rank mu. This upper-bounds the fixed-compromiser set, so an
+    empty result refutes the condition at mu; `fixed_compromiser_sets` gives
+    the exact sets of a table."""
     inst = f.instance
     mu = tuple(mu)
-    if profiles is None:
-        count = math.factorial(inst.m - 1) ** inst.n
-        if count > budget:
-            raise ScaleLimitError(
-                f"sweep of {count} top-ranking profiles exceeds budget {budget}; "
-                "pass explicit profiles"
-            )
-        profiles = profiles_with_tops(inst, mu)
     remaining = set(range(inst.n))
     for p in profiles:
         if tuple(pref[0] for pref in p) != mu:
@@ -340,17 +326,32 @@ def fixed_compromisers(
     return frozenset(remaining)
 
 
+def fixed_compromiser_sets(f: MechanismTable) -> tuple[frozenset[int], ...]:
+    """Fixed-compromiser set at every allocation code, in one sweep: each
+    profile top-ranks one mu and ANDs the agents who miss their top into it."""
+    inst = f.instance
+    n, powers, dec = inst.n, inst.powers, inst.decode_table
+    tops = [pref[0] for pref in inst.all_preferences()]
+    masks = [(1 << n) - 1] * inst.num_allocations
+    for pranks, xc in zip(_rank_tuples(inst), f.table):
+        x = dec[xc]
+        tc = missed = 0
+        for i, r in enumerate(pranks):
+            tc += tops[r] * powers[i]
+            missed |= (x[i] != tops[r]) << i
+        masks[tc] &= missed
+    return tuple(frozenset(i for i in range(n) if mask >> i & 1) for mask in masks)
+
+
 def check_fixed_compromiser(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verdict:
     """Every allocation outside the image has a nonempty fixed-compromiser set."""
     f.instance.check_profile_budget(budget)
     inst = f.instance
     image = f.image()
     notes = _image_note(f)
-    for code in range(inst.num_allocations):
-        if code in image:
-            continue
-        mu = inst.decode(code)
-        if not fixed_compromisers(f, mu, budget=budget):
+    for code, fixed in enumerate(fixed_compromiser_sets(f)):
+        if not fixed and code not in image:
+            mu = inst.decode(code)
             return Verdict(
                 "fixed_compromiser",
                 False,
@@ -366,35 +367,40 @@ def check_compromiser_invariance(
     budget: int = DEFAULT_PROFILE_BUDGET,
 ) -> Verdict:
     """Bottom-ranking every fixed compromiser's top leaves the outcome
-    unchanged, for every mu and every profile top-ranking mu."""
+    unchanged, for every mu and every profile top-ranking mu. The rankings
+    topping o are the (m-1)! ranks from o * (m-1)!, so mu's profiles are the
+    product of those rank ranges, walked in ascending index order."""
     f.instance.check_profile_budget(budget)
     inst = f.instance
     notes = _image_note(f)
-    if mus is None:
-        mus = (inst.decode(c) for c in range(inst.num_allocations))
-    for mu in mus:
-        mu = tuple(mu)
-        fixed = fixed_compromisers(f, mu, budget=budget)
+    table, dec, strides, n, m = f.table, inst.decode_table, inst.strides, inst.n, inst.m
+    span, rank = inst.factorials[m - 1], inst.preference_rank
+    # bottom[r][obj]: rank of ranking r with obj moved to the bottom
+    bottom = [[rank[bottom_rank(pref, obj)] for obj in range(m)] for pref in inst.all_preferences()]
+    sets = fixed_compromiser_sets(f)
+    for code in range(inst.num_allocations) if mus is None else (inst.encode(mu) for mu in mus):
+        fixed = sets[code]
         if not fixed:
             continue
-        for p in profiles_with_tops(inst, mu):
-            out = f.lookup(p)
-            moved = tuple(
-                bottom_rank(pref, mu[i]) if i in fixed else pref
-                for i, pref in enumerate(p)
-            )
-            out2 = f.lookup(moved)
-            if out2 != out:
+        mu = dec[code]
+        # (profile index, transformed index) pairs, agent 0 outermost
+        pairs = [(0, 0)]
+        for i in range(n):
+            s, ranks = strides[i], range(mu[i] * span, (mu[i] + 1) * span)
+            moved = [bottom[r][mu[i]] for r in ranks] if i in fixed else ranks
+            pairs = [(p + r * s, q + r2 * s) for p, q in pairs for r, r2 in zip(ranks, moved)]
+        for pidx, qidx in pairs:
+            if table[pidx] != table[qidx]:
                 return Verdict(
                     "compromiser_invariance",
                     False,
                     {
                         "mu": mu,
                         "fixed_compromisers": tuple(sorted(fixed)),
-                        "profile": p,
-                        "transformed_profile": moved,
-                        "outcome": out,
-                        "transformed_outcome": out2,
+                        "profile": inst.profile_at(pidx),
+                        "transformed_profile": inst.profile_at(qidx),
+                        "outcome": dec[table[pidx]],
+                        "transformed_outcome": dec[table[qidx]],
                     },
                     notes,
                 )
@@ -409,14 +415,9 @@ def derive_alpha(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Com
     the fixed-compromiser condition fails.
     """
     f.instance.check_profile_budget(budget)
-    inst = f.instance
     image = f.image()
-    cells = {}
-    for code in range(inst.num_allocations):
-        if code in image:
-            continue
-        cells[code] = fixed_compromisers(f, inst.decode(code), budget=budget)
-    return CompromiserAssignment(Constraint(inst, image, ("explicit",)), cells)
+    cells = {c: fixed for c, fixed in enumerate(fixed_compromiser_sets(f)) if c not in image}
+    return CompromiserAssignment(Constraint(f.instance, image, ("explicit",)), cells)
 
 
 @dataclass(frozen=True)

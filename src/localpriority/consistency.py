@@ -34,7 +34,7 @@ from .axioms import (
     is_nonbossy,
     is_pareto_efficient,
 )
-from .mechanisms import _dictator_picks, serial_dictatorship
+from .mechanisms import _dictator_picks, sd_alpha
 
 Reading = Literal["strict", "relaxed"]
 READINGS = ("strict", "relaxed")
@@ -450,9 +450,7 @@ def _gsp_backward_candidates(
     dictator's pick."""
     inst = constraint.instance
     for order in itertools.permutations(range(inst.n)):
-        yield "serial_dictatorship", order, tabulate_function(
-            lambda p: serial_dictatorship(constraint, order, p), constraint
-        )
+        yield "serial_dictatorship", order, tabulate(sd_alpha(constraint, order))
     for first in range(inst.n):
         rest = [i for i in range(inst.n) if i != first]
         rest_orders = list(itertools.permutations(rest))
@@ -467,14 +465,12 @@ def _gsp_backward_candidates(
 
 
 def find_gsp_backward_violation(
-    constraints: Iterable[Constraint],
-    budget: int = 2_000,
-    reading: Reading = "strict",
+    constraints: Iterable[Constraint], budget: int = 2_000
 ) -> SearchResult | None:
     """Search for an implementable assignment that induces a group
-    strategy-proof table yet violates backward consistency. Candidates are
-    canonical assignments derived from greedy dictatorship families over the
-    given constraints; None means the budget ran out without a witness."""
+    strategy-proof table yet violates strict backward consistency. Candidates
+    are canonical assignments derived from greedy dictatorship families over
+    the given constraints; None means the budget ran out without a witness."""
     examined = 0
     for constraint in constraints:
         for family, params, table in _gsp_backward_candidates(constraint):
@@ -482,7 +478,7 @@ def find_gsp_backward_violation(
             if examined > budget:
                 return None
             alpha = derive_alpha(table)
-            bwd = is_backward_consistent(alpha, reading)
+            bwd = is_backward_consistent(alpha)
             if bwd.holds:
                 continue
             gsp = is_group_strategy_proof(table)

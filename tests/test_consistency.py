@@ -10,12 +10,13 @@ from localpriority.core import (
     make_alpha,
     school_constraint,
 )
-from localpriority.engine import mechanisms_equal, tabulate
-from localpriority.mechanisms import da_alpha, ttc_alpha
+from localpriority.engine import mechanisms_equal, tabulate, tabulate_function
+from localpriority.mechanisms import da_alpha, serial_dictatorship, ttc_alpha
 from localpriority.axioms import derive_alpha, is_group_strategy_proof, is_pareto_efficient
 from localpriority.consistency import (
     HarnessReport,
     _connect_search,
+    _gsp_backward_candidates,
     find_gsp_backward_violation,
     find_pe_not_gsp,
     is_backward_consistent,
@@ -269,3 +270,17 @@ def test_find_gsp_backward_violation(inst3):
     assert is_group_strategy_proof(result.table).holds
     assert not is_backward_consistent(result.alpha, "strict").holds
     assert mechanisms_equal(tabulate(result.alpha), result.table)
+
+
+@pytest.mark.parametrize("n,caps", [(3, (1, 2, 2)), (4, (2, 1, 1))])
+def test_serial_dictatorship_candidates_match_the_dictators_loop(n, caps):
+    # the search tabulates serial dictatorships as local priority mechanisms
+    inst = Instance(tuple(str(k) for k in range(1, n + 1)), ("a", "b", "c"))
+    school = school_constraint(inst, caps)
+    orders = list(itertools.permutations(range(n)))
+    candidates = list(itertools.islice(_gsp_backward_candidates(school), len(orders)))
+    assert [(family, params) for family, params, _ in candidates] == [
+        ("serial_dictatorship", order) for order in orders
+    ]
+    for _, order, table in candidates:
+        assert table == tabulate_function(lambda p: serial_dictatorship(school, order, p), school)

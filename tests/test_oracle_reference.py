@@ -1,8 +1,9 @@
 """The table sweeps and consistency checks against slow reference loops.
 
-Each table reference walks `all_profiles()`, reads outcomes with `lookup` (or
-runs `run_lp`), and spells out every misreport, coalition, transformed profile
-or feasible improvement. The consistency references decode every allocation
+Each table reference walks `all_profiles()` (or, per allocation mu,
+`profiles_with_tops`), reads outcomes with `lookup` (or runs `run_lp`), and
+spells out every misreport, coalition, transformed profile or feasible
+improvement. The consistency references decode every allocation
 and encode every move. The fast code must return the same verdict and the same
 first witness.
 """
@@ -17,6 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localpriority.axioms import (
+    Verdict,
+    bottom_rank,
+    check_compromiser_invariance,
+    check_fixed_compromiser,
+    derive_alpha,
     is_group_strategy_proof,
     is_maskin_monotonic,
     is_nonbossy,
@@ -38,6 +44,7 @@ from localpriority.core import (
     diff,
     make_alpha,
     profile_index,
+    profiles_with_tops,
 )
 from localpriority.fileio import load_alpha
 from localpriority.engine import (
@@ -52,6 +59,7 @@ from localpriority.mechanisms import (
     Endowment,
     SchoolSpec,
     da_alpha,
+    immediate_acceptance,
     sd_alpha,
     serial_dictatorship,
     ttc_alpha,
@@ -165,7 +173,7 @@ def _tables(n, m, seed):
     """Random tables, serial dictatorships, and one-entry perturbations of
     the dictatorships, on seeded random constraints."""
     rng = random.Random(seed)
-    inst = Instance(tuple(str(k) for k in range(n)), tuple("abc"[:m]))
+    inst = Instance(tuple(str(k) for k in range(n)), tuple("abcd"[:m]))
     out = []
     for _ in range(3):
         feasible = sorted(rng.sample(range(inst.num_allocations), rng.randint(1, inst.num_allocations)))
@@ -264,6 +272,148 @@ def test_first_sp_violation_past_profile_zero():
     assert gsp.witness["coalition"] == (sp.witness["agent"],)
     assert gsp.witness["misreports"] == (sp.witness["misreport"],)
 
+
+
+def _reference_notes(f):
+    missing = f.constraint.feasible - set(f.table)
+    if not missing:
+        return ()
+    return (f"declared constraint has {len(missing)} feasible allocations outside the image; image used",)
+
+
+def _reference_fixed(f, mu):
+    """Agents who miss their component of mu at every profile top-ranking mu,
+    one `lookup` per profile."""
+    inst = f.instance
+    remaining = set(range(inst.n))
+    for p in profiles_with_tops(inst, mu):
+        out = f.lookup(p)
+        remaining &= {i for i in range(inst.n) if out[i] != mu[i]}
+    return frozenset(remaining)
+
+
+def reference_fixed_compromiser(f):
+    inst = f.instance
+    image = set(f.table)
+    for code in range(inst.num_allocations):
+        mu = inst.decode(code)
+        if code not in image and not _reference_fixed(f, mu):
+            return Verdict(
+                "fixed_compromiser",
+                False,
+                {"mu": mu, "profiles": tuple(profiles_with_tops(inst, mu))},
+                _reference_notes(f),
+            )
+    return Verdict("fixed_compromiser", True, None, _reference_notes(f))
+
+
+def reference_invariance(f, mus=None):
+    inst = f.instance
+    if mus is None:
+        mus = inst.all_assignments()
+    for mu in mus:
+        mu = tuple(mu)
+        fixed = _reference_fixed(f, mu)
+        if not fixed:
+            continue
+        for p in profiles_with_tops(inst, mu):
+            moved = tuple(bottom_rank(pref, mu[i]) if i in fixed else pref for i, pref in enumerate(p))
+            if f.lookup(moved) != f.lookup(p):
+                return Verdict(
+                    "compromiser_invariance",
+                    False,
+                    {
+                        "mu": mu,
+                        "fixed_compromisers": tuple(sorted(fixed)),
+                        "profile": p,
+                        "transformed_profile": moved,
+                        "outcome": f.lookup(p),
+                        "transformed_outcome": f.lookup(moved),
+                    },
+                    _reference_notes(f),
+                )
+    return Verdict("compromiser_invariance", True, None, _reference_notes(f))
+
+
+def reference_derive_alpha(f):
+    inst = f.instance
+    image = frozenset(f.table)
+    cells = {
+        code: _reference_fixed(f, inst.decode(code))
+        for code in range(inst.num_allocations)
+        if code not in image
+    }
+    return CompromiserAssignment(Constraint(inst, image, ("explicit",)), cells)
+
+
+def _derived(derive, f):
+    try:
+        return derive(f)
+    except MalformedAssignmentError as exc:
+        return str(exc)
+
+
+def _characterization_agrees(f, rng):
+    """Same verdicts, witnesses and notes as the per-allocation references, with
+    and without `mus`, and the same derived assignment or error text; returns
+    which of the two conditions fail."""
+    inst = f.instance
+    fc = check_fixed_compromiser(f)
+    assert fc == reference_fixed_compromiser(f)
+    inv = check_compromiser_invariance(f)
+    assert inv == reference_invariance(f)
+    # a few allocations, repeats allowed, in descending code order
+    mus = [inst.decode(c) for c in sorted(rng.choices(range(inst.num_allocations), k=8), reverse=True)]
+    assert check_compromiser_invariance(f, mus=mus) == reference_invariance(f, mus)
+    assert _derived(derive_alpha, f) == _derived(reference_derive_alpha, f)
+    return not fc.holds, not inv.holds
+
+
+def _mechanism_tables(n, m, seed):
+    """SD, DA and IA tables on a seeded school spec, TTC tables when n = m,
+    and one-entry perturbations of each."""
+    rng = random.Random(seed)
+    inst = Instance(tuple(str(k) for k in range(n)), tuple("abcd"[:m]))
+    caps = [0] * m
+    for _ in range(n):
+        caps[rng.randrange(m)] += 1
+    spec = SchoolSpec(inst, tuple(caps), tuple(tuple(rng.sample(range(n), n)) for _ in range(m)))
+    constraint = spec.constraint()
+    built = [
+        tabulate(sd_alpha(constraint, rng.sample(range(n), n))),
+        tabulate(da_alpha(spec)),
+        tabulate_function(lambda p: immediate_acceptance(spec, p), constraint),
+    ]
+    if n == m:
+        built += [tabulate(ttc_alpha(Endowment(inst, tuple(rng.sample(range(n), n))))) for _ in range(2)]
+    out = []
+    for f in built:
+        out.append(f)
+        feasible = sorted(f.constraint.feasible)
+        for _ in range(2):
+            entries = list(f.table)
+            entries[rng.randrange(len(entries))] = rng.choice(feasible)
+            out.append(MechanismTable(f.constraint, tuple(entries)))
+    return out
+
+
+CHARACTERIZATION_SHAPES = SHAPES + [(1, 3), (3, 4), (4, 3)]
+
+
+@pytest.mark.parametrize("n,m", CHARACTERIZATION_SHAPES)
+def test_characterization_matches_reference_loops(n, m):
+    rng = random.Random(31 * n + m)
+    tables = _tables(n, m, seed=100 * n + m) + _mechanism_tables(n, m, seed=10 * n + m)
+    failures = [_characterization_agrees(f, rng) for f in tables]
+    assert (False, False) in failures and (False, True) in failures
+    if n > 1 and m > 2:
+        assert any(fc for fc, _ in failures)
+
+
+@given(two_agent_tables())
+@settings(max_examples=60, deadline=None)
+def test_characterization_matches_reference_loops_on_generated_tables(f):
+    _characterization_agrees(f, random.Random(0))
 
 TABULATE_SHAPES = [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 3)]
 

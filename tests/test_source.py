@@ -61,6 +61,29 @@ def test_consistency_and_enumeration_encode_no_moves():
     assert not found, f"encode calls in {found}"
 
 
+def test_axioms_table_oracles_look_up_no_profiles():
+    # The table oracles read f.table on index arithmetic. Looking up a profile
+    # tuple is left to the explicit-profile intersection and the probe, which
+    # serve mechanisms given as functions.
+    tree = ast.parse((PACKAGE / "axioms.py").read_text())
+    allowed = {
+        id(node)
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        and top.name in ("fixed_compromisers", "probe_local_priority")
+        for node in ast.walk(top)
+    }
+    found = [
+        f"axioms.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "lookup"
+        and id(node) not in allowed
+    ]
+    assert not found, f"lookup calls in {found}"
+
+
 # Public names that no code in src/ or perfbench/ refers to, each kept for the
 # tests that use it. Any other public name without such a caller is API that
 # only tests reach.
