@@ -19,7 +19,6 @@ from .core import (
     Assignment,
     CompromiserAssignment,
     Constraint,
-    DEFAULT_PROFILE_BUDGET,
     Instance,
     Preference,
     Profile,
@@ -66,15 +65,13 @@ def bottom_rank(pref: Preference, obj: int) -> Preference:
     return tuple(o for o in pref if o != obj) + (obj,)
 
 
-def is_strategy_proof(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verdict:
+def is_strategy_proof(f: MechanismTable) -> Verdict:
     """No single agent gains by misreporting, at any profile."""
-    f.instance.check_profile_budget(budget)
     return _coalition_sweep(f, (1,), "strategy_proof")
 
 
-def is_nonbossy(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verdict:
+def is_nonbossy(f: MechanismTable) -> Verdict:
     """No agent changes others' assignments without changing their own."""
-    f.instance.check_profile_budget(budget)
     inst = f.instance
     table, dec, strides = f.table, inst.decode_table, inst.strides
     prefs = inst.all_preferences()
@@ -102,18 +99,13 @@ def is_nonbossy(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verd
     return Verdict("nonbossy", True)
 
 
-def is_group_strategy_proof(
-    f: MechanismTable,
-    exhaustive: bool = False,
-    budget: int = DEFAULT_PROFILE_BUDGET,
-) -> Verdict:
+def is_group_strategy_proof(f: MechanismTable, exhaustive: bool = False) -> Verdict:
     """No coalition misreport leaves every member weakly better and one
     strictly better.
 
     Default mode checks singletons and pairs, which is equivalent to checking
     all coalition sizes; `exhaustive` sweeps every coalition.
     """
-    f.instance.check_profile_budget(budget)
     sizes = range(1, f.instance.n + 1) if exhaustive else (1, 2)
     return _coalition_sweep(f, sizes, "group_strategy_proof")
 
@@ -178,7 +170,7 @@ def _coalition_sweep(f: MechanismTable, sizes: Iterable[int], name: str) -> Verd
     return Verdict(name, True)
 
 
-def is_maskin_monotonic(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verdict:
+def is_maskin_monotonic(f: MechanismTable) -> Verdict:
     """Outcome preserved whenever every agent's lower contour set at their
     assigned object weakly expands.
 
@@ -188,7 +180,6 @@ def is_maskin_monotonic(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET)
     MASKIN_PAIR_BUDGET bounds the number of these pairs, which is counted
     before any pair is visited.
     """
-    f.instance.check_profile_budget(budget)
     inst = f.instance
     table, dec, strides, n, m = f.table, inst.decode_table, inst.strides, inst.n, inst.m
     # A ranking's lower contour set at obj contains a given set of c objects
@@ -242,10 +233,9 @@ def is_maskin_monotonic(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET)
     return Verdict("maskin_monotonic", True)
 
 
-def is_pareto_efficient(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verdict:
+def is_pareto_efficient(f: MechanismTable) -> Verdict:
     """No feasible allocation weakly improves on the outcome for everyone and
     strictly for someone, at any profile."""
-    f.instance.check_profile_budget(budget)
     inst = f.instance
     table, dec, pos, n = f.table, inst.decode_table, inst.positions, inst.n
     feasible = f.constraint.feasible_assignments
@@ -282,9 +272,8 @@ def _image_note(f: MechanismTable) -> tuple[str, ...]:
     return ()
 
 
-def check_unanimity(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verdict:
+def check_unanimity(f: MechanismTable) -> Verdict:
     """Whenever the top-choice vector lies in the image, it is chosen."""
-    f.instance.check_profile_budget(budget)
     inst = f.instance
     image = f.image()
     notes = _image_note(f)
@@ -311,8 +300,8 @@ def fixed_compromisers(
 ) -> frozenset[int]:
     """Agents who miss their component of mu at every given profile, each of
     which must top-rank mu. This upper-bounds the fixed-compromiser set, so an
-    empty result refutes the condition at mu; `fixed_compromiser_sets` gives
-    the exact sets of a table."""
+    empty result refutes the condition at mu; a table's exact sets are
+    `MechanismTable.fixed_compromiser_sets`."""
     inst = f.instance
     mu = tuple(mu)
     remaining = set(range(inst.n))
@@ -326,30 +315,12 @@ def fixed_compromisers(
     return frozenset(remaining)
 
 
-def fixed_compromiser_sets(f: MechanismTable) -> tuple[frozenset[int], ...]:
-    """Fixed-compromiser set at every allocation code, in one sweep: each
-    profile top-ranks one mu and ANDs the agents who miss their top into it."""
-    inst = f.instance
-    n, powers, dec = inst.n, inst.powers, inst.decode_table
-    tops = [pref[0] for pref in inst.all_preferences()]
-    masks = [(1 << n) - 1] * inst.num_allocations
-    for pranks, xc in zip(_rank_tuples(inst), f.table):
-        x = dec[xc]
-        tc = missed = 0
-        for i, r in enumerate(pranks):
-            tc += tops[r] * powers[i]
-            missed |= (x[i] != tops[r]) << i
-        masks[tc] &= missed
-    return tuple(frozenset(i for i in range(n) if mask >> i & 1) for mask in masks)
-
-
-def check_fixed_compromiser(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> Verdict:
+def check_fixed_compromiser(f: MechanismTable) -> Verdict:
     """Every allocation outside the image has a nonempty fixed-compromiser set."""
-    f.instance.check_profile_budget(budget)
     inst = f.instance
     image = f.image()
     notes = _image_note(f)
-    for code, fixed in enumerate(fixed_compromiser_sets(f)):
+    for code, fixed in enumerate(f.fixed_compromiser_sets):
         if not fixed and code not in image:
             mu = inst.decode(code)
             return Verdict(
@@ -362,22 +333,19 @@ def check_fixed_compromiser(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUD
 
 
 def check_compromiser_invariance(
-    f: MechanismTable,
-    mus: Iterable[Sequence[int]] | None = None,
-    budget: int = DEFAULT_PROFILE_BUDGET,
+    f: MechanismTable, mus: Iterable[Sequence[int]] | None = None
 ) -> Verdict:
     """Bottom-ranking every fixed compromiser's top leaves the outcome
     unchanged, for every mu and every profile top-ranking mu. The rankings
     topping o are the (m-1)! ranks from o * (m-1)!, so mu's profiles are the
     product of those rank ranges, walked in ascending index order."""
-    f.instance.check_profile_budget(budget)
     inst = f.instance
     notes = _image_note(f)
     table, dec, strides, n, m = f.table, inst.decode_table, inst.strides, inst.n, inst.m
     span, rank = inst.factorials[m - 1], inst.preference_rank
     # bottom[r][obj]: rank of ranking r with obj moved to the bottom
     bottom = [[rank[bottom_rank(pref, obj)] for obj in range(m)] for pref in inst.all_preferences()]
-    sets = fixed_compromiser_sets(f)
+    sets = f.fixed_compromiser_sets
     for code in range(inst.num_allocations) if mus is None else (inst.encode(mu) for mu in mus):
         fixed = sets[code]
         if not fixed:
@@ -407,16 +375,15 @@ def check_compromiser_invariance(
     return Verdict("compromiser_invariance", True, None, notes)
 
 
-def derive_alpha(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> CompromiserAssignment:
+def derive_alpha(f: MechanismTable) -> CompromiserAssignment:
     """Canonical compromiser assignment of a table: the fixed-compromiser set
     at every allocation outside the image, over the image-as-constraint.
 
     Raises MalformedAssignmentError when some cell comes out empty, i.e. when
     the fixed-compromiser condition fails.
     """
-    f.instance.check_profile_budget(budget)
     image = f.image()
-    cells = {c: fixed for c, fixed in enumerate(fixed_compromiser_sets(f)) if c not in image}
+    cells = {c: fixed for c, fixed in enumerate(f.fixed_compromiser_sets) if c not in image}
     return CompromiserAssignment(Constraint(f.instance, image, ("explicit",)), cells)
 
 
@@ -432,15 +399,15 @@ class LPVerdict:
     notes: tuple[str, ...] = ()
 
 
-def is_local_priority(f: MechanismTable, budget: int = DEFAULT_PROFILE_BUDGET) -> LPVerdict:
+def is_local_priority(f: MechanismTable) -> LPVerdict:
     """Test the three characterizing conditions, then confirm the canonical
     assignment reproduces the table."""
     for check in (check_unanimity, check_fixed_compromiser, check_compromiser_invariance):
-        v = check(f, budget=budget)
+        v = check(f)
         if not v.holds:
             return LPVerdict(False, None, v.name, v.witness, notes=v.notes)
-    alpha = derive_alpha(f, budget=budget)
-    table = tabulate(alpha, budget=budget)
+    alpha = derive_alpha(f)
+    table = tabulate(alpha)
     if table.table != f.table:
         return LPVerdict(
             False,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CompromiserAssignment, DEFAULT_PROFILE_BUDGET
+from .core import CompromiserAssignment
 from .engine import Exhausted, run_lp
 from .consistency import Reading, is_consistent, is_forward_consistent
 
@@ -32,6 +32,7 @@ def _welfare_sweep(
     `agents`, where the outcome of the `preferred` assignment (0 for alpha, 1
     for alpha_prime) is strictly worse for that agent than the other one's.
     Profiles where either assignment exhausts are skipped."""
+    alpha.instance.check_profile_budget()
     exhausted = [False, False]
     witness = None
     for profile in alpha.instance.all_profiles():
@@ -61,9 +62,7 @@ def _welfare_sweep(
 
 
 def check_pointwise_dominance(
-    alpha: CompromiserAssignment,
-    alpha_prime: CompromiserAssignment,
-    budget: int = DEFAULT_PROFILE_BUDGET,
+    alpha: CompromiserAssignment, alpha_prime: CompromiserAssignment
 ) -> DominanceReport:
     """When alpha is pointwise contained in a forward-consistent alpha_prime,
     every agent weakly prefers the outcome under alpha at every profile. The
@@ -71,7 +70,6 @@ def check_pointwise_dominance(
     """
     if alpha.instance != alpha_prime.instance:
         raise ValueError("comparisons need a common instance")
-    alpha.instance.check_profile_budget(budget)
     failures, witness = _welfare_sweep(alpha, alpha_prime, range(alpha.instance.n), 0)
     if not alpha.is_subset_of(alpha_prime):
         failures.append("not_pointwise_subset")
@@ -85,7 +83,6 @@ def check_agent_dominance(
     alpha_prime: CompromiserAssignment,
     agent: int,
     reading: Reading = "strict",
-    budget: int = DEFAULT_PROFILE_BUDGET,
 ) -> DominanceReport:
     """Holding the constraint fixed, if others compromise weakly more under
     alpha_prime while the agent compromises weakly less, and both assignments
@@ -95,7 +92,6 @@ def check_agent_dominance(
         raise ValueError("comparisons need a common instance")
     if not 0 <= agent < inst.n:
         raise ValueError(f"agent index {agent} out of range")
-    inst.check_profile_budget(budget)
 
     failures = []
     if alpha.constraint.feasible != alpha_prime.constraint.feasible:

@@ -16,14 +16,13 @@ from .core import (
     CompromiserAssignment,
     Constraint,
     Instance,
+    ScaleLimitError,
     diff,
 )
 from .engine import (
-    Final,
     MechanismTable,
     NotImplementableError,
     mechanism_difference,
-    run_lp,
     tabulate,
     tabulate_function,
 )
@@ -313,7 +312,9 @@ def theorem_harness(
     """Enumerate the consistent implementable assignments for a constraint and
     check every induced table for group strategy-proofness and efficiency.
     Each distinct table is checked once; its failures are listed for every
-    assignment inducing it, in enumeration order."""
+    assignment inducing it, in enumeration order. An enumeration that runs out
+    of its node budget raises ScaleLimitError, since a report on some of the
+    assignments would pass vacuously."""
     from .enumeration import EnumerationOptions, enumerate_consistent
 
     opts = EnumerationOptions(
@@ -324,6 +325,8 @@ def theorem_harness(
         budget=budget,
     )
     result = enumerate_consistent(constraint, opts)
+    if not result.complete:
+        raise ScaleLimitError(f"enumeration incomplete within its budget of {budget} nodes")
     verdicts: dict[int, tuple[Verdict, Verdict]] = {}
     for key, members in result.mechanism_groups.items():
         table = MechanismTable(constraint, key)
@@ -390,28 +393,17 @@ def _all_cell_choices(
 
 
 def find_pe_not_gsp(
-    constraints: Iterable[Constraint],
-    budget: int = 50_000,
-    pinned_outcomes: Sequence[tuple[Sequence[Sequence[int]], Sequence[int]]] = (),
+    constraints: Iterable[Constraint], budget: int = 50_000
 ) -> SearchResult | None:
     """Search for an implementable assignment whose table is Pareto efficient
-    but bossy (hence not group strategy-proof). Optional pinned (profile,
-    allocation) pairs restrict the search to mechanisms with those exact
-    outcomes. Returns None on budget exhaustion, never a fabricated witness."""
+    but bossy (hence not group strategy-proof). Returns None on budget
+    exhaustion, never a fabricated witness."""
     examined = 0
     for constraint in constraints:
         for alpha in _all_cell_choices(constraint):
             examined += 1
             if examined > budget:
                 return None
-            ok = True
-            for profile, expected in pinned_outcomes:
-                out = run_lp(alpha, tuple(tuple(p) for p in profile))
-                if not isinstance(out, Final) or out.assignment != tuple(expected):
-                    ok = False
-                    break
-            if not ok:
-                continue
             try:
                 table = tabulate(alpha)
             except NotImplementableError:

@@ -217,10 +217,10 @@ class Instance:
         prefs = self.all_preferences()
         return tuple(prefs[index // s % len(prefs)] for s in self.strides)
 
-    def check_profile_budget(self, budget: int = DEFAULT_PROFILE_BUDGET) -> None:
-        if self.num_profiles > budget:
+    def check_profile_budget(self) -> None:
+        if self.num_profiles > DEFAULT_PROFILE_BUDGET:
             raise ScaleLimitError(
-                f"profile sweep of size {self.num_profiles} exceeds budget {budget}"
+                f"profile sweep of size {self.num_profiles} exceeds budget {DEFAULT_PROFILE_BUDGET}"
             )
 
 

@@ -3,14 +3,15 @@ and extensional mechanism tables."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .core import (
     Assignment,
     CompromiserAssignment,
     Constraint,
-    DEFAULT_PROFILE_BUDGET,
     Instance,
     MalformedAssignmentError,
     Profile,
@@ -106,33 +107,31 @@ def run_lp(alpha: CompromiserAssignment, profile: Profile) -> Outcome:
             raise AssertionError("rank descent bound violated")
 
 
-def find_exhausting_profile(
-    alpha: CompromiserAssignment, budget: int = DEFAULT_PROFILE_BUDGET
-) -> Profile | None:
+def find_exhausting_profile(alpha: CompromiserAssignment) -> Profile | None:
     """Lexicographically first profile on which the algorithm exhausts, if any."""
     try:
-        tabulate(alpha, budget)
+        tabulate(alpha)
     except NotImplementableError as exc:
         return exc.profile
     return None
 
 
-def is_implementable(
-    alpha: CompromiserAssignment, budget: int = DEFAULT_PROFILE_BUDGET
-) -> bool:
-    return find_exhausting_profile(alpha, budget) is None
+def is_implementable(alpha: CompromiserAssignment) -> bool:
+    return find_exhausting_profile(alpha) is None
 
 
 @dataclass(frozen=True)
 class MechanismTable:
     """An extensionally represented feasible mechanism: one feasible allocation
-    code per profile, profiles indexed canonically."""
+    code per profile, profiles indexed canonically. Construction refuses an
+    instance past the profile budget, so no oracle reading a table checks it."""
 
     constraint: Constraint
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
         inst = self.constraint.instance
+        inst.check_profile_budget()
         if len(self.table) != inst.num_profiles:
             raise ValueError("table must be total over all profiles")
         if not self.constraint.feasible.issuperset(self.table):
@@ -148,10 +147,28 @@ class MechanismTable:
     def lookup(self, profile: Profile) -> Assignment:
         return self.instance.decode(self.table[profile_index(self.instance, profile)])
 
+    # Derived once per table (cached_property writes to __dict__, which the
+    # frozen dataclass allows); equality and hashing still use only the fields.
 
-def tabulate(
-    alpha: CompromiserAssignment, budget: int = DEFAULT_PROFILE_BUDGET
-) -> MechanismTable:
+    @cached_property
+    def fixed_compromiser_sets(self) -> tuple[frozenset[int], ...]:
+        """Fixed-compromiser set at every allocation code, in one sweep: each
+        profile top-ranks one mu and ANDs the agents who miss their top into it."""
+        inst = self.instance
+        n, powers, dec = inst.n, inst.powers, inst.decode_table
+        tops = [pref[0] for pref in inst.all_preferences()]
+        masks = [(1 << n) - 1] * inst.num_allocations
+        for pranks, xc in zip(itertools.product(range(len(tops)), repeat=n), self.table):
+            x = dec[xc]
+            tc = missed = 0
+            for i, r in enumerate(pranks):
+                tc += tops[r] * powers[i]
+                missed |= (x[i] != tops[r]) << i
+            masks[tc] &= missed
+        return tuple(frozenset(i for i in range(n) if mask >> i & 1) for mask in masks)
+
+
+def tabulate(alpha: CompromiserAssignment) -> MechanismTable:
     """Dense table of the local priority mechanism. This is the one
     implementability sweep: exhaustion raises NotImplementableError carrying
     the lexicographically first exhausting profile, with the agent and step
@@ -170,7 +187,7 @@ def tabulate(
     starts at or after it.
     """
     inst = alpha.instance
-    inst.check_profile_budget(budget)
+    inst.check_profile_budget()
     n, m = inst.n, inst.m
     feasible = alpha.constraint.feasible
     cells = alpha.cells
@@ -247,13 +264,11 @@ def tabulate(
 
 
 def tabulate_function(
-    fn: Callable[[Profile], Sequence[int]],
-    constraint: Constraint,
-    budget: int = DEFAULT_PROFILE_BUDGET,
+    fn: Callable[[Profile], Sequence[int]], constraint: Constraint
 ) -> MechanismTable:
     """Dense table of any feasible mechanism given as a function of the profile."""
     inst = constraint.instance
-    inst.check_profile_budget(budget)
+    inst.check_profile_budget()
     entries = tuple(inst.encode(fn(p)) for p in inst.all_profiles())
     return MechanismTable(constraint, entries)
 

@@ -152,8 +152,8 @@ def dump_profile(profile: Profile, inst: Instance) -> dict:
     }
 
 
-def load_school_spec(doc: Mapping[str, Any], inst: Instance | None = None) -> SchoolSpec:
-    inst = inst or _instance_from(doc)
+def load_school_spec(doc: Mapping[str, Any]) -> SchoolSpec:
+    inst = _instance_from(doc)
     caps = tuple(int(doc["capacities"][o]) for o in inst.objects)
     priorities = tuple(
         tuple(inst.agent_index(a) for a in doc["priorities"][o]) for o in inst.objects
@@ -174,8 +174,8 @@ def load_order(doc: Sequence[str], inst: Instance) -> tuple[int, ...]:
     return tuple(inst.agent_index(a) for a in doc)
 
 
-def load_marriage_spec(doc: Mapping[str, Any], inst: Instance | None = None) -> MarriageSpec:
-    inst = inst or _instance_from(doc)
+def load_marriage_spec(doc: Mapping[str, Any]) -> MarriageSpec:
+    inst = _instance_from(doc)
     men = tuple(inst.agent_index(a) for a in doc["men"])
     women = tuple(inst.agent_index(a) for a in doc["women"])
     return MarriageSpec(inst, men, women)

@@ -25,7 +25,6 @@ from localpriority.axioms import (
     check_fixed_compromiser,
     check_unanimity,
     derive_alpha,
-    fixed_compromiser_sets,
     fixed_compromisers,
     is_group_strategy_proof,
     is_local_priority,
@@ -35,9 +34,9 @@ from localpriority.axioms import (
     is_strategy_proof,
     probe_local_priority,
 )
-from localpriority.consistency import find_pe_not_gsp
+from localpriority.fileio import load_alpha
 
-from conftest import A, B, C
+from conftest import A, B, C, load_fixture
 
 
 @pytest.fixture(scope="module")
@@ -85,21 +84,17 @@ def test_da_is_sp_but_bossy(da_table):
 
 
 def test_bossiness_fixture_from_witness_search(inst3):
-    # search for a Pareto-efficient assignment reproducing the pinned
-    # bossiness pattern: truthful all-abc gives (b,b,a); agent 2 bottoming a
-    # keeps b for 2 but hands 1 the object a
-    scarce = school_constraint(inst3, (1, 2, 2))
+    # the first Pareto-efficient assignment on school caps (1,2,2) whose table
+    # has the bossiness pattern: truthful all-abc gives (b,b,a); agent 2
+    # bottoming a keeps b for 2 but hands 1 the object a. The witness search,
+    # restricted to tables with those two outcomes, found it.
+    alpha = load_alpha(load_fixture("pe_bossy_alpha.json"))
+    assert alpha.instance == inst3
+    assert alpha.constraint.feasible == school_constraint(inst3, (1, 2, 2)).feasible
     abc = (A, B, C)
-    result = find_pe_not_gsp(
-        [scarce],
-        budget=20_000,
-        pinned_outcomes=[
-            ((abc, abc, abc), (B, B, A)),
-            ((abc, (B, C, A), abc), (A, B, B)),
-        ],
-    )
-    assert result is not None
-    table = result.table
+    table = tabulate(alpha)
+    assert table.lookup((abc, abc, abc)) == (B, B, A)
+    assert table.lookup((abc, (B, C, A), abc)) == (A, B, B)
     assert is_pareto_efficient(table).holds
     verdict = is_nonbossy(table)
     assert not verdict.holds
@@ -149,7 +144,7 @@ def test_unanimity_of_da(da_table):
 
 
 def test_fixed_compromisers_da(inst3, da_table):
-    assert fixed_compromiser_sets(da_table)[inst3.encode((A, A, B))] == {1}
+    assert da_table.fixed_compromiser_sets[inst3.encode((A, A, B))] == {1}
     # independent recomputation straight from the algorithm
     remaining = set(range(3))
     for profile in profiles_with_tops(inst3, (A, A, B)):
@@ -181,7 +176,7 @@ def test_probe_local_priority_refutes_marriage(marriage_setup):
 
 def test_ia_invariance_fails_at_contested_school(inst3, ia_table):
     mu = (A, A, B)
-    assert fixed_compromiser_sets(ia_table)[inst3.encode(mu)] == {0}
+    assert ia_table.fixed_compromiser_sets[inst3.encode(mu)] == {0}
     verdict = check_compromiser_invariance(ia_table, mus=[mu])
     assert not verdict.holds
     witness = verdict.witness
@@ -284,13 +279,6 @@ def test_maskin_checks_n3_m4_under_the_pair_budget():
     assert is_maskin_monotonic(table).holds
 
 
-def test_maskin_keeps_the_profile_budget(ttc_table):
-    size = ttc_table.instance.num_profiles
-    with pytest.raises(ScaleLimitError):
-        is_maskin_monotonic(ttc_table, budget=size - 1)
-    assert is_maskin_monotonic(ttc_table, budget=size).holds
-
-
 def test_tabulated_alphas_pass_characterizing_conditions(da_spec, ttc_endowment, inst3):
     # any implementable assignment induces a table passing both the
     # fixed-compromiser and invariance conditions, with the assignment
@@ -312,7 +300,7 @@ def test_tabulated_alphas_pass_characterizing_conditions(da_spec, ttc_endowment,
         table = tabulate(alpha)
         assert check_fixed_compromiser(table).holds
         assert check_compromiser_invariance(table).holds
-        fixed = fixed_compromiser_sets(table)
+        fixed = table.fixed_compromiser_sets
         for code, cell in alpha.cells.items():
             assert cell <= fixed[code]
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from localpriority.core import (
     Constraint,
     Instance,
+    ScaleLimitError,
     make_alpha,
     school_constraint,
 )
@@ -242,6 +243,13 @@ def test_theorem_harness_matches_per_assignment_loop(inst2, feasible, reading):
         constraint, reading, result.count, tuple(gsp_failures), tuple(pe_failures), len(tables)
     )
     assert theorem_harness(constraint, reading) == expected
+
+
+def test_theorem_harness_refuses_an_incomplete_enumeration(house3):
+    # 2,000 nodes do not finish house n=3; a report on the assignments found
+    # so far (none) would pass vacuously
+    with pytest.raises(ScaleLimitError, match="enumeration incomplete"):
+        theorem_harness(house3, budget=2000)
 
 
 def test_find_pe_not_gsp_respects_budget(inst3):

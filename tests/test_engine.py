@@ -6,12 +6,14 @@ from localpriority.core import (
     Constraint,
     Instance,
     MalformedAssignmentError,
+    ScaleLimitError,
     make_alpha,
     tau,
 )
 from localpriority.engine import (
     Exhausted,
     Final,
+    MechanismTable,
     NotImplementableError,
     find_exhausting_profile,
     is_implementable,
@@ -180,6 +182,26 @@ def test_termination_bound(da_spec):
     for profile in alpha.instance.all_profiles():
         out = run_lp(alpha, profile)
         assert len(out.trace.steps) <= cap
+
+
+def test_tables_refuse_instances_past_the_profile_budget():
+    # 5 agents, 4 objects: 24**5 = 7,962,624 profiles. No table of them can
+    # be built, so no oracle reading a table needs its own check, and the
+    # sweeps refuse before the first run.
+    inst = Instance(tuple("12345"), tuple("abcd"))
+    refusal = "profile sweep of size 7962624 exceeds budget 2000000"
+    with pytest.raises(ScaleLimitError) as exc:
+        MechanismTable(Constraint(inst, frozenset({0})), ())
+    assert str(exc.value) == refusal
+    everything = Constraint(inst, frozenset(range(inst.num_allocations)))
+    with pytest.raises(ScaleLimitError) as exc:
+        tabulate(make_alpha(everything, {}))
+    assert str(exc.value) == refusal
+    profiles_seen = []
+    with pytest.raises(ScaleLimitError) as exc:
+        tabulate_function(lambda p: profiles_seen.append(p) or (0,) * inst.n, everything)
+    assert str(exc.value) == refusal
+    assert profiles_seen == []
 
 
 def test_tabulate_image_equals_constraint(da_spec):

@@ -84,6 +84,27 @@ def test_axioms_table_oracles_look_up_no_profiles():
     assert not found, f"lookup calls in {found}"
 
 
+def test_one_profile_budget_checked_where_a_sweep_starts():
+    # The profile budget is a constant of core: a table cannot be built past
+    # it, and the sweeps that start without a table check it themselves, so no
+    # table function takes a budget of its own.
+    named = _find(
+        lambda node: (isinstance(node, ast.Name) and node.id == "DEFAULT_PROFILE_BUDGET")
+        or (isinstance(node, ast.Attribute) and node.attr == "DEFAULT_PROFILE_BUDGET")
+        or (isinstance(node, ast.alias) and node.name == "DEFAULT_PROFILE_BUDGET")
+    )
+    named = [place for place in named if not place.startswith("core.py:")]
+    assert not named, f"DEFAULT_PROFILE_BUDGET named in {named}"
+    found = []
+    for name in ("engine.py", "axioms.py", "compare.py"):
+        for node in ast.walk(ast.parse((PACKAGE / name).read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if any(arg.arg == "budget" for arg in params):
+                    found.append(f"{name}:{node.lineno}")
+    assert not found, f"budget parameters in {found}"
+
+
 # Public names that no code in src/ or perfbench/ refers to, each kept for the
 # tests that use it. Any other public name without such a caller is API that
 # only tests reach.
