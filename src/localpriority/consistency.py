@@ -16,7 +16,6 @@ from .core import (
     CompromiserAssignment,
     Constraint,
     Instance,
-    ScaleLimitError,
     diff,
 )
 from .engine import (
@@ -91,21 +90,9 @@ def _neighbors(
     """Legal next states from an allocation along an acyclic compromise path:
     a nonempty subset of the cell moves, nobody revisits an abandoned object.
     Bit i*m + o of `abandoned` is set once agent i has left object o."""
-    inst = alpha.instance
-    m, powers = inst.m, inst.powers
-    cell = sorted(alpha.cell(code))
-    for size in range(1, len(cell) + 1):
-        for subset in itertools.combinations(cell, size):
-            mask = left = 0
-            for i in subset:
-                mask |= 1 << i
-                left |= 1 << (i * m + code // powers[i] % m)
-            for y_code in inst.moves(code, mask):
-                arrived = 0
-                for i in subset:
-                    arrived |= 1 << (i * m + y_code // powers[i] % m)
-                if not arrived & abandoned:
-                    yield y_code, abandoned | left
+    for y_code, arrived, left in alpha.instance.steps(code, _mask(alpha.cell(code))):
+        if not arrived & abandoned:
+            yield y_code, abandoned | left
 
 
 def _connect_search(
@@ -164,34 +151,87 @@ def is_backward_consistent(
     Under the strict reading x' ranges over all allocations, so a feasible x'
     meeting the hypothesis is an automatic violation; the relaxed reading
     quantifies over infeasible x' only.
+
+    Reach sets decide the verdict; only the first failing (agent, x) pair is
+    searched again breadth first, for the first y, x' and path in order.
     """
     _check_reading(reading)
     inst = alpha.instance
-    feasible = alpha.constraint.feasible
+    strict = reading == "strict"
+    masks = [0] * inst.num_allocations
+    for code, cell in alpha.cells.items():
+        masks[code] = _mask(cell)
+    failure = _backward_failure(inst, masks, strict)
+    if failure is None:
+        return Verdict("backward_consistent", True)
+    agent, x_code = failure
+    reached = _connect_search(alpha, x_code, agent)
+    for y_code in sorted(reached):
+        xp_code = _stray(inst, masks, x_code, agent, masks[y_code] & ~(1 << agent), strict)
+        if xp_code is not None:
+            return Verdict(
+                "backward_consistent",
+                False,
+                {
+                    "agent": agent,
+                    "x": inst.decode(x_code),
+                    "y": inst.decode(y_code),
+                    "x_prime": inst.decode(xp_code),
+                    "alpha_y": tuple(sorted(alpha.cell(y_code))),
+                    "alpha_x_prime": tuple(sorted(alpha.cell(xp_code))),
+                    "path": tuple(inst.decode(c) for c in reached[y_code]),
+                    "reading": reading,
+                },
+            )
+    raise AssertionError("the backward witness search found no failure the reach sets found")
+
+
+def _stray(
+    inst: Instance, masks: Sequence[int], x_code: int, agent: int, mask: int, strict: bool
+) -> int | None:
+    """The first x' moved from x by the agents in `mask` (x itself included,
+    ascending by code) where `agent` is not a compromiser; the relaxed
+    reading passes over feasible x'. `masks[code]` is the cell at code as a
+    bitmask, 0 where the allocation is feasible."""
+    for xp_code, _ in _moved_codes(inst, x_code, mask):
+        if not masks[xp_code] >> agent & 1 and (strict or masks[xp_code]):
+            return xp_code
+    return None
+
+
+def _backward_failure(
+    inst: Instance, masks: Sequence[int], strict: bool
+) -> tuple[int, int] | None:
+    """The first (i, x), agents ascending and then cells ascending, where x
+    is i-connected to a y whose compromisers other than i move x to a stray
+    x'. The reach set is walked depth first, with no paths, over states that
+    pack the abandoned-object bits above the code; a y counts only through
+    its cell less i, so each (x, mask) is checked once per agent."""
+    m, powers, top = inst.m, inst.powers, inst.num_allocations
     for agent in range(inst.n):
-        for x_code in sorted(alpha.cells):
-            reached = _connect_search(alpha, x_code, agent)
-            for y_code in sorted(reached):
-                cell_y = alpha.cell(y_code)
-                for xp_code, _ in _moved_codes(inst, x_code, _mask(cell_y - {agent})):
-                    if reading == "relaxed" and xp_code in feasible:
-                        continue
-                    if agent not in alpha.cell(xp_code):
-                        return Verdict(
-                            "backward_consistent",
-                            False,
-                            {
-                                "agent": agent,
-                                "x": inst.decode(x_code),
-                                "y": inst.decode(y_code),
-                                "x_prime": inst.decode(xp_code),
-                                "alpha_y": tuple(sorted(cell_y)),
-                                "alpha_x_prime": tuple(sorted(alpha.cell(xp_code))),
-                                "path": tuple(inst.decode(c) for c in reached[y_code]),
-                                "reading": reading,
-                            },
-                        )
-    return Verdict("backward_consistent", True)
+        bit = 1 << agent
+        checked: set[int] = set()
+        for x_code, x_mask in enumerate(masks):
+            if not x_mask & bit:
+                continue
+            start = (1 << (agent * m + x_code // powers[agent] % m)) * top
+            stack = [start + y for y in inst.moves(x_code, bit) if masks[y]]
+            seen = set(stack)
+            while stack:
+                abandoned, code = divmod(stack.pop(), top)
+                mask = masks[code]
+                key = x_code << inst.n | (mask & ~bit)
+                if key not in checked:
+                    if _stray(inst, masks, x_code, agent, mask & ~bit, strict) is not None:
+                        return agent, x_code
+                    checked.add(key)
+                for y, arrived, left in inst.steps(code, mask):
+                    if masks[y] and not arrived & abandoned:
+                        state = (abandoned | left) * top + y
+                        if state not in seen:
+                            seen.add(state)
+                            stack.append(state)
+    return None
 
 
 def is_consistent(alpha: CompromiserAssignment, reading: Reading = "strict") -> Verdict:
@@ -325,8 +365,7 @@ def theorem_harness(
         budget=budget,
     )
     result = enumerate_consistent(constraint, opts)
-    if not result.complete:
-        raise ScaleLimitError(f"enumeration incomplete within its budget of {budget} nodes")
+    result.check_complete()
     verdicts: dict[int, tuple[Verdict, Verdict]] = {}
     for key, members in result.mechanism_groups.items():
         table = MechanismTable(constraint, key)

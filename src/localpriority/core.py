@@ -151,6 +151,37 @@ class Instance:
         return found
 
     @cached_property
+    def _steps(self) -> dict[int, tuple[tuple[int, int, int], ...]]:
+        """Results of `steps`, keyed by code << n | mask."""
+        return {}
+
+    def steps(self, code: int, mask: int) -> tuple[tuple[int, int, int], ...]:
+        """Compromise-path steps out of `code` when its compromisers are the
+        agents in `mask`: for each nonempty subset of them, in
+        itertools.combinations order, and each code `moves` gives for it,
+        (new code, arrived bits, left bits). Bit i*m + o stands for agent i
+        holding object o, at the new code or at `code` respectively."""
+        key = code << self.n | mask
+        found = self._steps.get(key)
+        if found is None:
+            m, powers = self.m, self.powers
+            agents = [i for i in range(self.n) if mask >> i & 1]
+            out = []
+            for size in range(1, len(agents) + 1):
+                for subset in itertools.combinations(agents, size):
+                    sub = left = 0
+                    for i in subset:
+                        sub |= 1 << i
+                        left |= 1 << (i * m + code // powers[i] % m)
+                    for y_code in self.moves(code, sub):
+                        arrived = 0
+                        for i in subset:
+                            arrived |= 1 << (i * m + y_code // powers[i] % m)
+                        out.append((y_code, arrived, left))
+            found = self._steps[key] = tuple(out)
+        return found
+
+    @cached_property
     def decode_table(self) -> tuple[Assignment, ...]:
         """Every assignment by code. Dense, so only table sweeps build it."""
         return tuple(self.all_assignments())

@@ -125,6 +125,13 @@ class EnumerationResult:
             "complete": self.complete,
         }
 
+    def check_complete(self) -> None:
+        """Refuse to go on from a search cut short by its node budget."""
+        if not self.complete:
+            raise ScaleLimitError(
+                f"enumeration incomplete within its budget of {self.options.budget} nodes"
+            )
+
 
 class _Search:
     """State shared by one enumeration run."""
@@ -333,6 +340,8 @@ def enumerate_consistent(
         mechanism_groups=search.groups,
     )
     if options.quotient_symmetry:
+        # orbits of a partial list are not closed under the symmetries
+        result.check_complete()
         result.representatives = _quotient(result)
     return result
 

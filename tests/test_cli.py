@@ -210,6 +210,16 @@ def test_enumerate_refuses_oversized_constraint_up_front():
     assert proc.stderr == f"error: profile sweep of size {720**6} exceeds budget 2000000\n"
 
 
+@pytest.mark.parametrize("extra", [(), ("--dedupe",)])
+def test_enumerate_quotient_refuses_an_incomplete_search(extra):
+    proc = run_cli(
+        "enumerate", "--constraint", fx("house.json"), "--quotient", "--budget", "20000", *extra
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: enumeration incomplete within its budget of 20000 nodes\n"
+
+
 def test_enumerate_refuses_oversized_move_tables_up_front(tmp_path):
     # 7 agents, 3 objects: within the profile budget, but the move tables
     # would hold 2,184 * 2,186 codes and the search would recurse 2,184 deep

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -28,8 +29,23 @@ from localpriority.consistency import (
     verify_union_closure,
 )
 from localpriority.enumeration import EnumerationOptions, enumerate_consistent
+from localpriority.fileio import load_alpha
 
-from conftest import A, B, C
+from conftest import A, B, C, FIXTURES
+
+
+def test_backward_check_steps_out_of_infeasible_allocations_only():
+    # A compromise path ends at the first feasible allocation it reaches, so
+    # both readings build path steps only from infeasible codes.
+    built = 0
+    for path in sorted(FIXTURES.glob("*alpha*.json")):
+        alpha = load_alpha(json.loads(path.read_text()))
+        for reading in ("strict", "relaxed"):
+            is_backward_consistent(alpha, reading)
+        inst = alpha.instance
+        built += len(inst._steps)
+        assert not {key >> inst.n for key in inst._steps} & alpha.constraint.feasible, path.name
+    assert built
 
 
 def test_da_alpha_forward_consistent(da_spec):

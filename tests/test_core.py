@@ -169,6 +169,27 @@ def test_moves_match_a_decode_product_encode_loop(n, m):
             assert inst.moves(code, mask) is inst.moves(code, mask)
 
 
+@pytest.mark.parametrize("n,m", MOVE_SHAPES)
+def test_steps_match_a_decode_combinations_encode_loop(n, m):
+    inst = _instance(n, m)
+    for code, x in enumerate(inst.all_assignments()):
+        for mask in range(1 << n):
+            agents = [i for i in range(n) if mask >> i & 1]
+            expected = []
+            for size in range(1, len(agents) + 1):
+                for subset in itertools.combinations(agents, size):
+                    left = sum(1 << (i * m + x[i]) for i in subset)
+                    choices = [[o for o in range(m) if o != x[i]] for i in subset]
+                    for combo in itertools.product(*choices):
+                        y = list(x)
+                        for i, obj in zip(subset, combo):
+                            y[i] = obj
+                        arrived = sum(1 << (i * m + y[i]) for i in subset)
+                        expected.append((inst.encode(y), arrived, left))
+            assert inst.steps(code, mask) == tuple(expected)
+            assert inst.steps(code, mask) is inst.steps(code, mask)
+
+
 @pytest.mark.parametrize("n,m", ENCODING_SHAPES)
 def test_positions_and_strides_match_the_definitions(n, m):
     inst = _instance(n, m)
@@ -210,10 +231,11 @@ def test_cached_tables_leave_equality_and_hashing_alone():
     used, fresh = _instance(3, 2), _instance(3, 2)
     for attr in ("n", "m", "num_allocations", "num_profiles", "powers",
                  "preference_rank", "positions", "strides", "decode_table",
-                 "factorials", "prefix_children", "_moves"):
+                 "factorials", "prefix_children", "_moves", "_steps"):
         getattr(used, attr)
     used.all_preferences()
     used.moves(5, 0b101)
+    used.steps(5, 0b101)
     assert used == fresh
     assert hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)

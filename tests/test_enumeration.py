@@ -92,6 +92,15 @@ def test_budget_exhaustion_reports_incomplete(house3):
     assert not result.complete
 
 
+@pytest.mark.parametrize("dedupe", [False, True])
+def test_quotient_refuses_an_incomplete_enumeration(house3, dedupe):
+    # the orbits of a partial assignment list are not closed under the group
+    options = EnumerationOptions(quotient_symmetry=True, dedupe_by_mechanism=dedupe, budget=20_000)
+    with pytest.raises(ScaleLimitError) as info:
+        enumerate_consistent(house3, options)
+    assert str(info.value) == "enumeration incomplete within its budget of 20000 nodes"
+
+
 def test_oversized_move_tables_are_refused_before_any_is_built():
     # 7 agents, 3 objects: 2,184 cells, 2,186 moves from each, and 279,936
     # profiles, which the profile budget admits

@@ -42,10 +42,12 @@ from localpriority.core import (
     Instance,
     MalformedAssignmentError,
     diff,
+    house_constraint,
     make_alpha,
     profile_index,
     profiles_with_tops,
 )
+from localpriority import enumeration
 from localpriority.fileio import load_alpha
 from localpriority.engine import (
     Exhausted,
@@ -704,3 +706,27 @@ def test_consistency_matches_reference_loops_on_fixtures(ttc_endowment):
 @settings(max_examples=60, deadline=None)
 def test_consistency_matches_reference_loops_on_generated_assignments(alpha):
     _consistency_agrees(alpha)
+
+
+def test_backward_matches_reference_on_the_house_search_leaves(monkeypatch):
+    # Every assignment the house n=3 search checks at a leaf, with the verdict
+    # the search got: strict on all of them, relaxed on every third.
+    leaves = []
+
+    def record(alpha, reading):
+        verdict = is_backward_consistent(alpha, reading)
+        leaves.append((alpha, verdict))
+        return verdict
+
+    monkeypatch.setattr(enumeration, "is_backward_consistent", record)
+    house = house_constraint(Instance(("1", "2", "3"), ("a", "b", "c")))
+    result = enumeration.enumerate_consistent(house, enumeration.EnumerationOptions())
+    assert (len(leaves), result.count) == (2973, 1056)
+    failing = 0
+    for k, (alpha, verdict) in enumerate(leaves):
+        reference = reference_backward(alpha, "strict")
+        _agrees(verdict, reference)
+        failing += reference is not None
+        if k % 3 == 0:
+            _agrees(is_backward_consistent(alpha, "relaxed"), reference_backward(alpha, "relaxed"))
+    assert failing == 738

@@ -61,6 +61,20 @@ def test_consistency_and_enumeration_encode_no_moves():
     assert not found, f"encode calls in {found}"
 
 
+def test_consistency_takes_path_steps_from_core():
+    # Instance.steps owns the order in which compromisers move along a path;
+    # consistency reads it and never lists mover subsets itself.
+    tree = ast.parse((PACKAGE / "consistency.py").read_text())
+    found = [
+        f"consistency.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "combinations"
+        in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+    ]
+    assert not found, f"combinations calls in {found}"
+
+
 def test_axioms_table_oracles_look_up_no_profiles():
     # The table oracles read f.table on index arithmetic. Looking up a profile
     # tuple is left to the explicit-profile intersection and the probe, which
