@@ -104,7 +104,10 @@ def is_group_strategy_proof(f: MechanismTable, exhaustive: bool = False) -> Verd
     strictly better.
 
     Default mode checks singletons and pairs, which is equivalent to checking
-    all coalition sizes; `exhaustive` sweeps every coalition.
+    all coalition sizes; `exhaustive` sweeps every coalition. Either way a
+    coalition tests, at each profile, the distinct parts it can reach in its
+    slice of the table, not every joint report, and the witness is the first
+    improving joint report in report order (see `_coalition_sweep`).
     """
     sizes = range(1, f.instance.n + 1) if exhaustive else (1, 2)
     return _coalition_sweep(f, sizes, "group_strategy_proof")
@@ -113,60 +116,76 @@ def is_group_strategy_proof(f: MechanismTable, exhaustive: bool = False) -> Verd
 def _coalition_sweep(f: MechanismTable, sizes: Iterable[int], name: str) -> Verdict:
     """First coalition misreport, by size, then profile, coalition and
     reports, that leaves every member weakly better and one strictly better.
-    A size-1 witness of strategy_proof names the agent and misreport."""
+    A size-1 witness of strategy_proof names the agent and misreport.
+
+    A coalition S and the others' rankings fix a slice of k^|S| profiles,
+    one per joint report. Its image, built the first time a profile of the
+    slice needs it, maps each distinct part S holds in the slice's outcomes
+    (`Instance.parts`) to the first report offset that yields it, in that
+    order. A profile tests its slice's image, at most m^|S| parts, against
+    the parts everyone in S finds weakly better (`Instance.part_sets`).
+    Whether a report improves depends only on S's part, so the first
+    improving part in first-offset order is the first improving report, and
+    the witness is the one a walk over every joint report finds.
+    """
     inst = f.instance
-    table, dec, strides, pos = f.table, inst.decode_table, inst.strides, inst.positions
+    table, dec, strides, weak = f.table, inst.decode_table, inst.strides, inst.weakly_better
     k = len(inst.all_preferences())
     for size in sizes:
-        # per coalition, the index offset of every joint report, in report order
+        sets = inst.part_sets(size)
+        # per coalition: its members with their strides and part sets, the
+        # index offset of every joint report in report order, its parts by
+        # code, and its images by slice base
         coalitions = [
-            (c, [sum(r * strides[i] for i, r in zip(c, rs))
-                 for rs in itertools.product(range(k), repeat=size)])
+            (
+                c,
+                tuple((i, strides[i], objs) for i, objs in zip(c, sets)),
+                [sum(r * strides[i] for i, r in zip(c, rs))
+                 for rs in itertools.product(range(k), repeat=size)],
+                inst.parts(sum(1 << i for i in c)),
+                {},
+            )
             for c in itertools.combinations(range(inst.n), size)
         ]
-        for pidx, pranks in enumerate(_rank_tuples(inst)):
-            x = dec[table[pidx]]
-            rows = [pos[r] for r in pranks]
-            truth = [row[obj] for row, obj in zip(rows, x)]
-            for coalition, offsets in coalitions:
-                base = pidx
-                improvable = False
-                for i in coalition:
-                    base -= pranks[i] * strides[i]
-                    if truth[i]:
-                        improvable = True
-                if not improvable:
-                    continue  # every member already holds their top choice
-                for off in offsets:
-                    idx = base + off
-                    if idx == pidx:
-                        continue
-                    y = dec[table[idx]]
-                    better = 0
-                    for i in coalition:
-                        yp = rows[i][y[i]]
-                        if yp > truth[i]:
-                            better = -1
-                            break
-                        if yp < truth[i]:
-                            better += 1
-                    if better > 0:
-                        deviation = inst.profile_at(idx)
-                        misreports = tuple(deviation[i] for i in coalition)
-                        if name == "strategy_proof":
-                            who = {"agent": coalition[0], "misreport": misreports[0]}
-                        else:
-                            who = {"coalition": coalition, "misreports": misreports}
-                        return Verdict(
-                            name,
-                            False,
-                            {
-                                "profile": inst.profile_at(pidx),
-                                **who,
-                                "truthful_outcome": x,
-                                "deviation_outcome": y,
-                            },
-                        )
+        for pidx, (pranks, xc) in enumerate(zip(_rank_tuples(inst), table)):
+            x = dec[xc]
+            for coalition, members, offsets, parts, images in coalitions:
+                base, wanted = pidx, -1
+                for i, stride, objs in members:
+                    r = pranks[i]
+                    base -= r * stride
+                    wanted &= objs[weak[r][x[i]]]
+                if not wanted & (wanted - 1):
+                    continue  # the truthful part is the only one everyone weakly prefers
+                image = images.get(base)
+                if image is None:
+                    first: dict[int, int] = {}
+                    for off in offsets:
+                        first.setdefault(parts[table[base + off]], off)
+                    image = images[base] = (sum(1 << part for part in first), first)
+                found = image[0] & wanted
+                if not found & (found - 1):
+                    continue  # the slice holds the truthful part, and no other wanted one
+                truth = parts[xc]
+                idx = base + next(
+                    off for part, off in image[1].items() if part != truth and wanted >> part & 1
+                )
+                deviation = inst.profile_at(idx)
+                misreports = tuple(deviation[i] for i in coalition)
+                if name == "strategy_proof":
+                    who = {"agent": coalition[0], "misreport": misreports[0]}
+                else:
+                    who = {"coalition": coalition, "misreports": misreports}
+                return Verdict(
+                    name,
+                    False,
+                    {
+                        "profile": inst.profile_at(pidx),
+                        **who,
+                        "truthful_outcome": x,
+                        "deviation_outcome": dec[table[idx]],
+                    },
+                )
     return Verdict(name, True)
 
 
@@ -192,17 +211,11 @@ def is_maskin_monotonic(f: MechanismTable) -> Verdict:
         pairs += math.prod(widths[r][obj] for r, obj in zip(pranks, dec[xc]))
         if pairs > MASKIN_PAIR_BUDGET:
             raise ScaleLimitError("profile-pair sweep exceeds the Maskin budget")
-    # lc[r][obj]: bitmask of objects strictly below obj under ranking r
-    lc = []
-    for p in inst.all_preferences():
-        row = [0] * m
-        below = 0
-        for obj in reversed(p):
-            row[obj] = below
-            below |= 1 << obj
-        lc.append(tuple(row))
-    # axes[i, obj, mask]: ascending index offsets of agent i's rankings whose
-    # lower contour set at obj contains mask
+    # A ranking's lower contour set at obj contains another's iff the objects
+    # it places at or above obj are among the other's.
+    weak = inst.weakly_better
+    # axes[i, obj, upper]: ascending index offsets of agent i's rankings that
+    # place at or above obj only objects in the bitmask upper
     axes: dict[tuple[int, int, int], tuple[int, ...]] = {}
     for pidx, (pranks, xc) in enumerate(zip(_rank_tuples(inst), table)):
         x = dec[xc]
@@ -211,11 +224,11 @@ def is_maskin_monotonic(f: MechanismTable) -> Verdict:
         qs = [0]
         for i in range(n):
             obj = x[i]
-            mask = lc[pranks[i]][obj]
-            axis = axes.get((i, obj, mask))
+            upper = weak[pranks[i]][obj]
+            axis = axes.get((i, obj, upper))
             if axis is None:
-                axis = axes[i, obj, mask] = tuple(
-                    s * strides[i] for s, row in enumerate(lc) if row[obj] & mask == mask
+                axis = axes[i, obj, upper] = tuple(
+                    s * strides[i] for s, row in enumerate(weak) if row[obj] | upper == upper
                 )
             qs = [q + off for q in qs for off in axis]
         for qidx in qs:

@@ -186,6 +186,58 @@ class Instance:
         """Every assignment by code. Dense, so only table sweeps build it."""
         return tuple(self.all_assignments())
 
+    @cached_property
+    def _parts(self) -> dict[int, tuple[int, ...]]:
+        """Results of `parts`, keyed by mask."""
+        return {}
+
+    def parts(self, mask: int) -> tuple[int, ...]:
+        """Per allocation code, the part the agents in `mask` hold: their
+        objects as a base-m number, lowest agent least significant."""
+        found = self._parts.get(mask)
+        if found is None:
+            members = [i for i in range(self.n) if mask >> i & 1]
+            places = [self.m**j for j in range(len(members))]
+            found = self._parts[mask] = tuple(
+                sum(a[i] * place for i, place in zip(members, places)) for a in self.decode_table
+            )
+        return found
+
+    @cached_property
+    def _part_sets(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """Results of `part_sets`, keyed by size."""
+        return {}
+
+    def part_sets(self, size: int) -> tuple[tuple[int, ...], ...]:
+        """part_sets(size)[j][objs]: bitmask of the parts of a coalition of
+        `size` agents (see `parts`) whose j-th member holds an object in the
+        bitmask `objs`."""
+        found = self._part_sets.get(size)
+        if found is None:
+            m = self.m
+            found = self._part_sets[size] = tuple(
+                tuple(
+                    sum(1 << p for p in range(m**size) if objs >> (p // m**j % m) & 1)
+                    for objs in range(1 << m)
+                )
+                for j in range(size)
+            )
+        return found
+
+    @cached_property
+    def weakly_better(self) -> tuple[tuple[int, ...], ...]:
+        """weakly_better[rank][obj]: bitmask of the objects that the ranking
+        of that rank places at or above obj."""
+        out = []
+        for pref in self.all_preferences():
+            row = [0] * self.m
+            above = 0
+            for obj in pref:
+                above |= 1 << obj
+                row[obj] = above
+            out.append(tuple(row))
+        return tuple(out)
+
     def encode(self, assignment: Sequence[int]) -> int:
         """Mixed-radix code of an assignment, agent 0 least significant."""
         n, m = self.n, self.m

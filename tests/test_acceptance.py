@@ -295,6 +295,14 @@ def touched_tables(inst3, da_tables, sd_tables, ia_spec, enumerated):
     for result in enumerated[:2]:
         for key in result.mechanism_groups:
             tables.append(MechanismTable(result.constraint, key))
+    # n=3, m=4: serial dictatorship on caps (1,1,1,3), and the same table
+    # with agent 1 handed c instead of d at the last profile, where everyone
+    # ranks d, c, b, a
+    inst4 = Instance(("1", "2", "3"), ("a", "b", "c", "d"))
+    sd = tabulate(sd_alpha(school_constraint(inst4, (1, 1, 1, 3)), (0, 1, 2)))
+    entries = list(sd.table)
+    entries[-1] = inst4.encode((2, 3, 3))
+    tables += [sd, MechanismTable(sd.constraint, tuple(entries))]
     return tables
 
 

@@ -128,6 +128,21 @@ def test_check_da_gsp_fails_with_witness():
     assert results["gsp"]["witness"]["coalition"]
 
 
+def test_check_exhaustive_gsp_at_four_objects(tmp_path):
+    from localpriority import fileio
+    from localpriority.core import Instance, school_constraint
+    from localpriority.mechanisms import sd_alpha
+
+    inst = Instance(("1", "2", "3"), ("a", "b", "c", "d"))
+    alpha = sd_alpha(school_constraint(inst, (1, 1, 1, 3)), (0, 1, 2))
+    path = tmp_path / "sd_alpha.json"
+    path.write_text(fileio.dumps(fileio.dump_alpha(alpha)))
+    proc = run_cli("check", "--props", "sp,gsp", "--exhaustive", "--alpha", str(path))
+    assert proc.returncode == 0
+    results = {r["prop"]: r["holds"] for r in json.loads(proc.stdout)["results"]}
+    assert results == {"sp": True, "gsp": True}
+
+
 def test_check_ia_invariance_exits_one():
     proc = run_cli(
         "check",

@@ -227,15 +227,39 @@ def test_prefix_children_give_contiguous_rank_ranges(m):
     assert seen == sum(math.perm(m, k) for k in range(m + 1))
 
 
+@pytest.mark.parametrize("n,m", MOVE_SHAPES)
+def test_parts_and_part_sets_match_their_definitions(n, m):
+    inst = _instance(n, m)
+    for mask in range(1, 1 << n):
+        members = [i for i in range(n) if mask >> i & 1]
+        parts = inst.parts(mask)
+        assert parts == tuple(
+            sum(x[i] * m**j for j, i in enumerate(members)) for x in inst.all_assignments()
+        )
+        assert parts is inst.parts(mask)
+        sets = inst.part_sets(len(members))
+        assert all(bits < 1 << m ** len(members) for row in sets for bits in row)
+        for x, part in zip(inst.all_assignments(), parts):
+            for j, i in enumerate(members):
+                for objs in range(1 << m):
+                    assert (sets[j][objs] >> part & 1) == (objs >> x[i] & 1)
+    for rank, pref in enumerate(inst.all_preferences()):
+        for place, obj in enumerate(pref):
+            assert inst.weakly_better[rank][obj] == sum(1 << o for o in pref[: place + 1])
+
+
 def test_cached_tables_leave_equality_and_hashing_alone():
     used, fresh = _instance(3, 2), _instance(3, 2)
     for attr in ("n", "m", "num_allocations", "num_profiles", "powers",
                  "preference_rank", "positions", "strides", "decode_table",
-                 "factorials", "prefix_children", "_moves", "_steps"):
+                 "factorials", "prefix_children", "_moves", "_steps",
+                 "_parts", "_part_sets", "weakly_better"):
         getattr(used, attr)
     used.all_preferences()
     used.moves(5, 0b101)
     used.steps(5, 0b101)
+    used.parts(0b101)
+    used.part_sets(2)
     assert used == fresh
     assert hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)

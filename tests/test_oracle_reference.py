@@ -139,6 +139,66 @@ def reference_gsp(f, sizes):
     return None
 
 
+def reference_coalition_sweep(f, sizes, name):
+    """The coalition sweep that walks every joint report: by size, then
+    profile, coalition and reports, each report's outcome decoded and
+    compared member by member."""
+    inst = f.instance
+    table, dec, strides, pos = f.table, inst.decode_table, inst.strides, inst.positions
+    k = len(inst.all_preferences())
+    for size in sizes:
+        # per coalition, the index offset of every joint report, in report order
+        coalitions = [
+            (c, [sum(r * strides[i] for i, r in zip(c, rs))
+                 for rs in itertools.product(range(k), repeat=size)])
+            for c in itertools.combinations(range(inst.n), size)
+        ]
+        for pidx, pranks in enumerate(itertools.product(range(k), repeat=inst.n)):
+            x = dec[table[pidx]]
+            rows = [pos[r] for r in pranks]
+            truth = [row[obj] for row, obj in zip(rows, x)]
+            for coalition, offsets in coalitions:
+                base = pidx
+                improvable = False
+                for i in coalition:
+                    base -= pranks[i] * strides[i]
+                    if truth[i]:
+                        improvable = True
+                if not improvable:
+                    continue  # every member already holds their top choice
+                for off in offsets:
+                    idx = base + off
+                    if idx == pidx:
+                        continue
+                    y = dec[table[idx]]
+                    better = 0
+                    for i in coalition:
+                        yp = rows[i][y[i]]
+                        if yp > truth[i]:
+                            better = -1
+                            break
+                        if yp < truth[i]:
+                            better += 1
+                    if better > 0:
+                        deviation = inst.profile_at(idx)
+                        misreports = tuple(deviation[i] for i in coalition)
+                        if name == "strategy_proof":
+                            who = {"agent": coalition[0], "misreport": misreports[0]}
+                        else:
+                            who = {"coalition": coalition, "misreports": misreports}
+                        return Verdict(
+                            name,
+                            False,
+                            {
+                                "profile": inst.profile_at(pidx),
+                                **who,
+                                "truthful_outcome": x,
+                                "deviation_outcome": y,
+                            },
+                        )
+    return Verdict(name, True)
+
+
 def reference_pe(f):
     inst = f.instance
     feasible = [inst.decode(c) for c in sorted(f.constraint.feasible)]
@@ -274,6 +334,67 @@ def test_first_sp_violation_past_profile_zero():
     assert gsp.witness["coalition"] == (sp.witness["agent"],)
     assert gsp.witness["misreports"] == (sp.witness["misreport"],)
 
+
+
+def test_sweep_witness_is_the_first_improving_report_not_the_lowest_part():
+    # Both agents get c everywhere except at two profiles of agent 1's slice
+    # at profile 0, where both rank a, b, c. Agent 1's first misreport, acb
+    # (index 6), wins b, and a later one, bac (index 12), wins a. The
+    # witness is the first improving report, though a comes first in object
+    # order.
+    inst = Instance(("1", "2"), ("a", "b", "c"))
+    constraint = Constraint(inst, frozenset(range(inst.num_allocations)), ("explicit",))
+    entries = [inst.encode((2, 2))] * inst.num_profiles
+    entries[6] = inst.encode((1, 2))
+    entries[12] = inst.encode((0, 2))
+    f = MechanismTable(constraint, tuple(entries))
+    sp = is_strategy_proof(f)
+    _agrees(sp, reference_sp(f))
+    assert (sp.witness["profile"], sp.witness["agent"]) == (inst.profile_at(0), 0)
+    assert (sp.witness["misreport"], sp.witness["deviation_outcome"]) == ((0, 2, 1), (1, 2))
+    for exhaustive in (False, True):
+        gsp = is_group_strategy_proof(f, exhaustive=exhaustive)
+        _agrees(gsp, reference_gsp(f, (1, 2)))
+        assert gsp.witness["misreports"] == ((0, 2, 1),)
+
+
+def _sweeps_agree(f, modes):
+    """The coalition sweep returns the reference walk's verdict and witness
+    in every given mode; returns the verdicts."""
+    n = f.instance.n
+    verdicts = []
+    for mode in modes:
+        if mode == "sp":
+            verdict = is_strategy_proof(f)
+            assert verdict == reference_coalition_sweep(f, (1,), "strategy_proof")
+        else:
+            verdict = is_group_strategy_proof(f, exhaustive=mode == "exhaustive")
+            sizes = (1, 2) if mode == "pairs" else range(1, n + 1)
+            assert verdict == reference_coalition_sweep(f, sizes, "group_strategy_proof")
+        verdicts.append(verdict)
+    return verdicts
+
+
+@pytest.mark.parametrize("n,m,modes,first", [
+    (4, 3, ("pairs", "exhaustive"), 0),
+    # the first round's serial dictatorship alone costs the walk 4 s over pairs
+    (3, 4, ("sp", "pairs"), 4),
+])
+def test_coalition_sweep_matches_the_report_walk(n, m, modes, first):
+    verdicts = [
+        v for f in _tables(n, m, seed=100 * n + m)[first:] for v in _sweeps_agree(f, modes)
+    ]
+    assert any(v.holds for v in verdicts)
+    inst = Instance(tuple(str(k) for k in range(n)), tuple("abcd"[:m]))
+    assert any(not v.holds and profile_index(inst, v.witness["profile"]) > 0 for v in verdicts)
+
+
+@given(two_agent_tables())
+@settings(max_examples=60, deadline=None)
+def test_coalition_sweep_matches_reference_loops_on_generated_tables(f):
+    _agrees(is_strategy_proof(f), reference_sp(f))
+    for exhaustive in (False, True):
+        _agrees(is_group_strategy_proof(f, exhaustive=exhaustive), reference_gsp(f, (1, 2)))
 
 
 def _reference_notes(f):
