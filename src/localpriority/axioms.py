@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     Assignment,
@@ -55,11 +55,6 @@ class FunctionMechanism:
 Mechanism = MechanismTable | FunctionMechanism
 
 
-def _rank_tuples(inst: Instance) -> Iterator[tuple[int, ...]]:
-    """Per-agent ranking ranks of every profile, in dense index order."""
-    return itertools.product(range(len(inst.all_preferences())), repeat=inst.n)
-
-
 def bottom_rank(pref: Preference, obj: int) -> Preference:
     """Move one object to the bottom, preserving the rest of the order."""
     return tuple(o for o in pref if o != obj) + (obj,)
@@ -75,7 +70,7 @@ def is_nonbossy(f: MechanismTable) -> Verdict:
     inst = f.instance
     table, dec, strides = f.table, inst.decode_table, inst.strides
     prefs = inst.all_preferences()
-    for pidx, pranks in enumerate(_rank_tuples(inst)):
+    for pidx, pranks in enumerate(inst.rank_tuples()):
         xc = table[pidx]
         x = dec[xc]
         for i in range(inst.n):
@@ -147,7 +142,7 @@ def _coalition_sweep(f: MechanismTable, sizes: Iterable[int], name: str) -> Verd
             )
             for c in itertools.combinations(range(inst.n), size)
         ]
-        for pidx, (pranks, xc) in enumerate(zip(_rank_tuples(inst), table)):
+        for pidx, (pranks, xc) in enumerate(zip(inst.rank_tuples(), table)):
             x = dec[xc]
             for coalition, members, offsets, parts, images in coalitions:
                 base, wanted = pidx, -1
@@ -207,7 +202,7 @@ def is_maskin_monotonic(f: MechanismTable) -> Verdict:
     k = len(inst.all_preferences())
     widths = [[k // (m - t) for t in row] for row in inst.positions]
     pairs = 0
-    for pranks, xc in zip(_rank_tuples(inst), table):
+    for pranks, xc in zip(inst.rank_tuples(), table):
         pairs += math.prod(widths[r][obj] for r, obj in zip(pranks, dec[xc]))
         if pairs > MASKIN_PAIR_BUDGET:
             raise ScaleLimitError("profile-pair sweep exceeds the Maskin budget")
@@ -217,7 +212,7 @@ def is_maskin_monotonic(f: MechanismTable) -> Verdict:
     # axes[i, obj, upper]: ascending index offsets of agent i's rankings that
     # place at or above obj only objects in the bitmask upper
     axes: dict[tuple[int, int, int], tuple[int, ...]] = {}
-    for pidx, (pranks, xc) in enumerate(zip(_rank_tuples(inst), table)):
+    for pidx, (pranks, xc) in enumerate(zip(inst.rank_tuples(), table)):
         x = dec[xc]
         # q's index is one offset per agent summed; agent 0 has the largest
         # stride, so the qualifying indices come out ascending
@@ -252,7 +247,7 @@ def is_pareto_efficient(f: MechanismTable) -> Verdict:
     inst = f.instance
     table, dec, pos, n = f.table, inst.decode_table, inst.positions, inst.n
     feasible = f.constraint.feasible_assignments
-    for pidx, pranks in enumerate(_rank_tuples(inst)):
+    for pidx, pranks in enumerate(inst.rank_tuples()):
         x = dec[table[pidx]]
         xpos = tuple(pos[pranks[i]][x[i]] for i in range(n))
         for y in feasible:
@@ -291,7 +286,7 @@ def check_unanimity(f: MechanismTable) -> Verdict:
     image = f.image()
     notes = _image_note(f)
     prefs = inst.all_preferences()
-    for pidx, pranks in enumerate(_rank_tuples(inst)):
+    for pidx, pranks in enumerate(inst.rank_tuples()):
         tops = tuple(prefs[r][0] for r in pranks)
         tc = inst.encode(tops)
         if tc in image and f.table[pidx] != tc:

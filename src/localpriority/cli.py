@@ -28,13 +28,12 @@ from .axioms import (
     is_strategy_proof,
 )
 from .compare import check_agent_dominance, check_pointwise_dominance
-from .consistency import is_backward_consistent, is_forward_consistent
+from .consistency import READINGS, is_backward_consistent, is_forward_consistent
 from .core import (
     Assignment,
     CompromiserAssignment,
     Constraint,
     Instance,
-    MalformedAssignmentError,
     Profile,
 )
 from .engine import (
@@ -364,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--spec")
     check.add_argument("--order")
     check.add_argument("--endowment")
-    check.add_argument("--reading", choices=["strict", "relaxed"], default="strict")
+    check.add_argument("--reading", choices=READINGS, default="strict")
     check.add_argument("--exhaustive", action="store_true")
     check.set_defaults(func=cmd_check)
 
@@ -381,10 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--constraint", required=True)
     enum.add_argument("--forward", action="store_true")
     enum.add_argument("--backward", action="store_true")
-    enum.add_argument("--reading", choices=["strict", "relaxed"], default="strict")
+    enum.add_argument("--reading", choices=READINGS, default="strict")
     enum.add_argument("--quotient", action="store_true")
     enum.add_argument("--dedupe", action="store_true")
-    enum.add_argument("--budget", type=int, default=50_000_000)
+    enum.add_argument("--budget", type=int, default=EnumerationOptions.budget)
     enum.set_defaults(func=cmd_enumerate)
 
     comp = sub.add_parser("compare", help="welfare comparison between two assignments")
@@ -393,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--constraint")
     comp.add_argument("--agent")
     comp.add_argument("--mode", choices=["pointwise", "agent"], default="pointwise")
-    comp.add_argument("--reading", choices=["strict", "relaxed"], default="strict")
+    comp.add_argument("--reading", choices=READINGS, default="strict")
     comp.set_defaults(func=cmd_compare)
 
     rend = sub.add_parser("render", help="render a constraint or assignment grid")
@@ -423,9 +422,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MalformedAssignmentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

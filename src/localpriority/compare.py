@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import CompromiserAssignment
-from .engine import Exhausted, run_lp
+from .engine import EXHAUSTED, outcome_codes
 from .consistency import Reading, is_consistent, is_forward_consistent
 
 
@@ -27,38 +27,30 @@ def _welfare_sweep(
     agents: Sequence[int],
     preferred: int,
 ) -> tuple[list[str], dict | None]:
-    """One run of each assignment at every profile. Returns the labels of the
+    """A diff of the two assignments' outcome codes. Returns the labels of the
     assignments that ever exhaust, and the first profile, with the first of
     `agents`, where the outcome of the `preferred` assignment (0 for alpha, 1
     for alpha_prime) is strictly worse for that agent than the other one's.
     Profiles where either assignment exhausts are skipped."""
-    alpha.instance.check_profile_budget()
-    exhausted = [False, False]
-    witness = None
-    for profile in alpha.instance.all_profiles():
-        outs = (run_lp(alpha, profile), run_lp(alpha_prime, profile))
-        stuck = False
-        for k, out in enumerate(outs):
-            if isinstance(out, Exhausted):
-                exhausted[k] = stuck = True
-        if stuck or witness is not None:
+    inst = alpha.instance
+    codes = (outcome_codes(alpha), outcome_codes(alpha_prime))
+    labels = ("alpha", "alpha_prime")
+    failures = [f"{label}_not_implementable" for label, c in zip(labels, codes) if EXHAUSTED in c]
+    dec, positions = inst.decode_table, inst.positions
+    rows = zip(inst.rank_tuples(), codes[preferred], codes[1 - preferred])
+    for pidx, (pranks, kept, other) in enumerate(rows):
+        if kept == other or EXHAUSTED in (kept, other):
             continue
-        kept, other = outs[preferred].assignment, outs[1 - preferred].assignment
         for i in agents:
-            if profile[i].index(kept[i]) > profile[i].index(other[i]):
-                witness = {
-                    "profile": profile,
+            place = positions[pranks[i]]
+            if place[dec[kept][i]] > place[dec[other][i]]:
+                return failures, {
+                    "profile": inst.profile_at(pidx),
                     "agent": i,
-                    "outcome_alpha": outs[0].assignment,
-                    "outcome_alpha_prime": outs[1].assignment,
+                    "outcome_alpha": dec[codes[0][pidx]],
+                    "outcome_alpha_prime": dec[codes[1][pidx]],
                 }
-                break
-    failures = [
-        f"{label}_not_implementable"
-        for label, ever in zip(("alpha", "alpha_prime"), exhausted)
-        if ever
-    ]
-    return failures, witness
+    return failures, None
 
 
 def check_pointwise_dominance(
@@ -102,14 +94,10 @@ def check_agent_dominance(
         failures.append("alpha_not_consistent")
     if not is_consistent(alpha_prime, reading).holds:
         failures.append("alpha_prime_not_consistent")
-    for code in range(inst.num_allocations):
-        cell, cell_p = alpha.cell(code), alpha_prime.cell(code)
-        if not (cell - {agent}) <= cell_p:
-            failures.append("others_not_weakly_more_in_alpha_prime")
-            break
-    for code in range(inst.num_allocations):
-        if agent in alpha_prime.cell(code) and agent not in alpha.cell(code):
-            failures.append("agent_not_weakly_less_in_alpha_prime")
-            break
+    codes = range(inst.num_allocations)
+    if any(not alpha.cell(c) - {agent} <= alpha_prime.cell(c) for c in codes):
+        failures.append("others_not_weakly_more_in_alpha_prime")
+    if any(agent in alpha_prime.cell(c) and agent not in alpha.cell(c) for c in codes):
+        failures.append("agent_not_weakly_less_in_alpha_prime")
 
     return DominanceReport(f"agent:{agent}", witness is None, witness, tuple(failures))

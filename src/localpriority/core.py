@@ -293,6 +293,10 @@ class Instance:
         """All (m!)^n profiles, lexicographic by per-agent permutation rank."""
         return itertools.product(self.all_preferences(), repeat=self.n)
 
+    def rank_tuples(self) -> Iterator[tuple[int, ...]]:
+        """Per-agent ranking ranks of every profile, in dense index order."""
+        return itertools.product(range(self.factorials[self.m]), repeat=self.n)
+
     def profile_at(self, index: int) -> Profile:
         """The profile at a canonical dense index; inverse of profile_index."""
         if not 0 <= index < self.num_profiles:

@@ -3,7 +3,6 @@ and extensional mechanism tables."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -158,7 +157,7 @@ class MechanismTable:
         n, powers, dec = inst.n, inst.powers, inst.decode_table
         tops = [pref[0] for pref in inst.all_preferences()]
         masks = [(1 << n) - 1] * inst.num_allocations
-        for pranks, xc in zip(itertools.product(range(len(tops)), repeat=n), self.table):
+        for pranks, xc in zip(inst.rank_tuples(), self.table):
             x = dec[xc]
             tc = missed = 0
             for i, r in enumerate(pranks):
@@ -168,11 +167,25 @@ class MechanismTable:
         return tuple(frozenset(i for i in range(n) if mask >> i & 1) for mask in masks)
 
 
+EXHAUSTED = -1  # the outcome code of a profile whose run exhausts
+
+
 def tabulate(alpha: CompromiserAssignment) -> MechanismTable:
-    """Dense table of the local priority mechanism. This is the one
-    implementability sweep: exhaustion raises NotImplementableError carrying
-    the lexicographically first exhausting profile, with the agent and step
-    that `run_lp` reports on it.
+    """Dense table of the local priority mechanism, by the one prefix walk
+    (`_walk`). Exhaustion raises NotImplementableError carrying the
+    lexicographically first exhausting profile, with the agent and step that
+    `run_lp` reports on it."""
+    return MechanismTable(alpha.constraint, _walk(alpha, False))
+
+
+def outcome_codes(alpha: CompromiserAssignment) -> tuple[int, ...]:
+    """Every profile's outcome code, in dense index order, by the same walk as
+    `tabulate`, with EXHAUSTED where the run exhausts."""
+    return _walk(alpha, True)
+
+
+def _walk(alpha: CompromiserAssignment, partial: bool) -> tuple[int, ...]:
+    """Outcome code per profile, by one walk over ranking prefixes.
 
     A run reads each agent's ranking only down to the object the agent stops
     at, so every profile that shares those ranking prefixes has the same run.
@@ -184,7 +197,8 @@ def tabulate(alpha: CompromiserAssignment) -> MechanismTable:
     fills its whole block of the table. The lowest index in a failing leaf's
     block is the first profile whose run fails there; the sweep keeps the
     lowest one over all failing leaves and prunes every subtree whose block
-    starts at or after it.
+    starts at or after it. With `partial`, an exhausting leaf is no failure:
+    it fills its block with EXHAUSTED.
     """
     inst = alpha.instance
     inst.check_profile_budget()
@@ -228,12 +242,14 @@ def tabulate(alpha: CompromiserAssignment) -> MechanismTable:
             first = bmin, MalformedAssignmentError, (message,)
             return
         tired = [i for i in cell if mask[i] == full]
-        if tired:
+        if not tired:
+            if depth >= step_cap:
+                raise AssertionError("rank descent bound violated")
+            move(sorted(cell), 0, code, bmin, depth + 1)
+        elif not partial:
             first = bmin, NotImplementableError, (inst.profile_at(bmin), min(tired), depth + 1)
-            return
-        if depth >= step_cap:
-            raise AssertionError("rank descent bound violated")
-        move(sorted(cell), 0, code, bmin, depth + 1)
+        elif first is None:
+            fill(EXHAUSTED)
 
     def move(agents: Sequence[int], k: int, code: int, bmin: int, depth: int) -> None:
         if k == len(agents):
@@ -260,7 +276,7 @@ def tabulate(alpha: CompromiserAssignment) -> MechanismTable:
         visit = move = None
     if first is not None:
         raise first[1](*first[2])
-    return MechanismTable(alpha.constraint, tuple(entries))
+    return tuple(entries)
 
 
 def tabulate_function(

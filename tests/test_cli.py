@@ -78,7 +78,7 @@ def test_run_missing_cell_exits_two(tmp_path):
         "--profile", fx("profile_all_abc.json"),
     )
     assert proc.returncode == 2
-    assert "missing cell" in proc.stderr
+    assert proc.stderr == "error: missing cell at infeasible ('b', 'a', 'a')\n"
 
 
 def test_run_empty_cell_exits_two(tmp_path):
@@ -90,7 +90,7 @@ def test_run_empty_cell_exits_two(tmp_path):
         "run", "--alpha", str(bad), "--profile", fx("profile_all_abc.json")
     )
     assert proc.returncode == 2
-    assert "empty cell" in proc.stderr
+    assert proc.stderr == "error: empty cell at ('b', 'a', 'a')\n"
 
 
 def test_unknown_object_name_exits_two(tmp_path):
@@ -274,6 +274,25 @@ def test_compare_agent_mode():
     doc = json.loads(proc.stdout)
     assert doc["witness"]["outcome_alpha"][0] == "b"
     assert doc["witness"]["outcome_alpha_prime"][0] == "c"
+
+
+@pytest.mark.parametrize("mode,agent", [("pointwise", []), ("agent", ["--agent", "1"])])
+def test_compare_non_implementable_assignment_against_itself(mode, agent):
+    proc = run_cli(
+        "compare",
+        "--alpha", fx("exhaust_alpha.json"),
+        "--alpha2", fx("exhaust_alpha.json"),
+        "--mode", mode,
+        *agent,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout) == {
+        "holds": True,
+        "hypothesis_failures": ["alpha_not_implementable", "alpha_prime_not_implementable"],
+        "mode": "pointwise" if mode == "pointwise" else "agent:0",
+        "witness": None,
+    }
 
 
 def test_render_golden_via_cli(tmp_path):

@@ -1,9 +1,16 @@
 import pytest
 
-from localpriority.mechanisms import SchoolSpec, da_alpha
-from localpriority.compare import check_agent_dominance, check_pointwise_dominance
+from localpriority.core import Constraint, Instance, house_constraint, make_alpha
+from localpriority.engine import is_implementable
+from localpriority.fileio import load_alpha
+from localpriority.mechanisms import SchoolSpec, da_alpha, sd_alpha
+from localpriority.compare import (
+    DominanceReport,
+    check_agent_dominance,
+    check_pointwise_dominance,
+)
 
-from conftest import A, B, C
+from conftest import A, B, C, load_fixture
 
 
 def test_nested_pair_fails_dominance_and_flags_hypothesis(nested_pair):
@@ -56,14 +63,84 @@ def test_agent_dominance_reflexive(da_spec):
 
 def test_agent_dominance_on_consistent_pair(inst3, house3):
     # two serial-dictatorship assignments: under alpha agent 3 dictates last,
-    # under alpha_prime agent 3 dictates first; both consistent
-    from localpriority.mechanisms import sd_alpha
-
+    # under alpha_prime agent 3 dictates first; both consistent. Agent 3 is
+    # never worse off, though agent 2 sits in more cells of alpha than of
+    # alpha_prime, so the others-compromise-more hypothesis fails.
     alpha = sd_alpha(house3, (0, 1, 2))
     alpha_prime = sd_alpha(house3, (2, 0, 1))
-    report = check_agent_dominance(alpha, alpha_prime, 2)
-    if not report.hypothesis_failures:
-        assert report.holds
+    assert check_agent_dominance(alpha, alpha_prime, 2) == DominanceReport(
+        "agent:2", True, None, ("others_not_weakly_more_in_alpha_prime",)
+    )
+
+
+def test_non_implementable_assignment_against_itself():
+    # Both runs exhaust on the same profiles, and agree wherever neither does.
+    alpha = load_alpha(load_fixture("exhaust_alpha.json"))
+    labels = ("alpha_not_implementable", "alpha_prime_not_implementable")
+    assert check_pointwise_dominance(alpha, alpha) == DominanceReport(
+        "pointwise", True, None, labels
+    )
+    assert check_agent_dominance(alpha, alpha, 0) == DominanceReport("agent:0", True, None, labels)
+
+
+def test_witness_past_the_first_profile_where_one_side_exhausts():
+    # Feasible: both agents get a, or both get b. alpha_prime exhausts on
+    # ((a,b),(b,a)), profile 1, where alpha gives agent 2 their second
+    # choice; that profile is skipped, and the witness is profile 2.
+    inst = Instance(("1", "2"), ("a", "b"))
+    constraint = Constraint(inst, frozenset({inst.encode((A, A)), inst.encode((B, B))}))
+    ab, ba = inst.encode((A, B)), inst.encode((B, A))
+    alpha = make_alpha(constraint, {ba: {0}, ab: {1}})
+    alpha_prime = make_alpha(constraint, {ba: {1}, ab: {0, 1}})
+    assert is_implementable(alpha) and not is_implementable(alpha_prime)
+    assert check_pointwise_dominance(alpha, alpha_prime) == DominanceReport(
+        "pointwise",
+        False,
+        {
+            "profile": ((B, A), (A, B)),
+            "agent": 0,
+            "outcome_alpha": (A, A),
+            "outcome_alpha_prime": (B, B),
+        },
+        ("alpha_prime_not_implementable", "not_pointwise_subset",
+         "alpha_prime_not_forward_consistent"),
+    )
+    # The other way round, the exhausting side is the one held to be better.
+    assert check_pointwise_dominance(alpha_prime, alpha) == DominanceReport(
+        "pointwise",
+        False,
+        {
+            "profile": ((B, A), (A, B)),
+            "agent": 1,
+            "outcome_alpha": (B, B),
+            "outcome_alpha_prime": (A, A),
+        },
+        ("alpha_not_implementable", "not_pointwise_subset"),
+    )
+
+
+def test_house4_comparisons_sweep_every_profile():
+    # 331,776 profiles per assignment, well within reach of the table diff.
+    inst = Instance(("1", "2", "3", "4"), ("a", "b", "c", "d"))
+    house = house_constraint(inst)
+    alpha = sd_alpha(house, (0, 1, 2, 3))
+    assert check_pointwise_dominance(alpha, alpha) == DominanceReport("pointwise", True)
+    reversed_sd = sd_alpha(house, (3, 2, 1, 0))
+    assert check_agent_dominance(alpha, reversed_sd, 3) == DominanceReport(
+        "agent:3", True, None, ("others_not_weakly_more_in_alpha_prime",)
+    )
+    everyone_abcd = ((0, 1, 2, 3),) * 4
+    assert check_pointwise_dominance(alpha, reversed_sd) == DominanceReport(
+        "pointwise",
+        False,
+        {
+            "profile": everyone_abcd,
+            "agent": 2,
+            "outcome_alpha": (0, 1, 2, 3),
+            "outcome_alpha_prime": (3, 2, 1, 0),
+        },
+        ("not_pointwise_subset",),
+    )
 
 
 def test_compare_requires_common_instance(nonmonotone_pair, da_spec):

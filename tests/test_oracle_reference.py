@@ -47,12 +47,15 @@ from localpriority.core import (
     profile_index,
     profiles_with_tops,
 )
-from localpriority import enumeration
+from localpriority import compare, enumeration
+from localpriority.compare import check_agent_dominance, check_pointwise_dominance
 from localpriority.fileio import load_alpha
 from localpriority.engine import (
+    EXHAUSTED,
     Exhausted,
     MechanismTable,
     NotImplementableError,
+    outcome_codes,
     run_lp,
     tabulate,
     tabulate_function,
@@ -589,15 +592,17 @@ def _perturbed(rng, alpha, subsets):
     return make_alpha(alpha.constraint, cells)
 
 
+def _subsets(n):
+    return [frozenset(s) for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
+
+
 def _assignments(n, m, seed, rounds):
     """Random assignments, serial dictatorships, deferred acceptance, TTC
     (when n = m), and one-cell perturbations of each of the last three, on
     seeded random constraints."""
     rng = random.Random(seed)
     inst = Instance(tuple(str(k) for k in range(n)), tuple("abcd"[:m]))
-    subsets = [
-        frozenset(s) for k in range(1, n + 1) for s in itertools.combinations(range(n), k)
-    ]
+    subsets = _subsets(n)
     out = []
     for _ in range(rounds):
         size = inst.num_allocations
@@ -655,9 +660,7 @@ def test_tabulate_reports_the_first_malformed_run():
     assert kinds == {MalformedAssignmentError, NotImplementableError}
 
 
-@st.composite
-def two_agent_assignments(draw):
-    inst = Instance(("1", "2"), tuple("abc"[: draw(st.sampled_from((2, 3)))]))
+def _draw_assignment(draw, inst):
     codes = range(inst.num_allocations)
     feasible = draw(st.sets(st.sampled_from(codes), min_size=1))
     cells = {
@@ -666,10 +669,163 @@ def two_agent_assignments(draw):
     return make_alpha(Constraint(inst, frozenset(feasible)), cells)
 
 
+def _two_agent_instance(draw):
+    return Instance(("1", "2"), tuple("abc"[: draw(st.sampled_from((2, 3)))]))
+
+
+@st.composite
+def two_agent_assignments(draw):
+    return _draw_assignment(draw, _two_agent_instance(draw))
+
+
+@st.composite
+def two_agent_pairs(draw):
+    inst = _two_agent_instance(draw)
+    return _draw_assignment(draw, inst), _draw_assignment(draw, inst)
+
+
 @given(two_agent_assignments())
 @settings(max_examples=80, deadline=None)
 def test_tabulate_matches_run_lp_loop_on_generated_assignments(alpha):
     _tabulate_agrees(alpha)
+
+
+def reference_outcome_codes(alpha):
+    """`run_lp` on every profile: the allocation code, or EXHAUSTED."""
+    inst = alpha.instance
+    return tuple(
+        EXHAUSTED if isinstance(out, Exhausted) else inst.encode(out.assignment)
+        for out in (run_lp(alpha, p) for p in inst.all_profiles())
+    )
+
+
+def _outcome_codes_agree(alpha):
+    """Same codes as the reference, and the table itself when implementable;
+    returns whether some run exhausts."""
+    codes = outcome_codes(alpha)
+    assert codes == reference_outcome_codes(alpha)
+    if EXHAUSTED not in codes:
+        assert codes == tabulate(alpha).table
+    return EXHAUSTED in codes
+
+
+@pytest.mark.parametrize("n,m", TABULATE_SHAPES)
+def test_outcome_codes_match_run_lp_loop(n, m):
+    rounds = 4 if n ** m < 40 else 2
+    exhausting = [
+        _outcome_codes_agree(alpha) for alpha in _assignments(n, m, seed=10 * n + m, rounds=rounds)
+    ]
+    assert not all(exhausting)
+    if n > 1:
+        assert any(exhausting)
+
+
+@given(two_agent_assignments())
+@settings(max_examples=80, deadline=None)
+def test_outcome_codes_match_run_lp_loop_on_generated_assignments(alpha):
+    _outcome_codes_agree(alpha)
+
+
+def reference_welfare_sweep(alpha, alpha_prime, agents, preferred):
+    """One `run_lp` of each assignment at every profile, comparing places in
+    the rankings: the labels of the assignments that ever exhaust, and the
+    first profile, with the first of `agents`, where the `preferred`
+    assignment's outcome is strictly worse for that agent. Profiles where
+    either assignment exhausts are skipped."""
+    exhausted = [False, False]
+    witness = None
+    for profile in alpha.instance.all_profiles():
+        outs = (run_lp(alpha, profile), run_lp(alpha_prime, profile))
+        stuck = False
+        for k, out in enumerate(outs):
+            if isinstance(out, Exhausted):
+                exhausted[k] = stuck = True
+        if stuck or witness is not None:
+            continue
+        kept, other = outs[preferred].assignment, outs[1 - preferred].assignment
+        for i in agents:
+            if profile[i].index(kept[i]) > profile[i].index(other[i]):
+                witness = {
+                    "profile": profile,
+                    "agent": i,
+                    "outcome_alpha": outs[0].assignment,
+                    "outcome_alpha_prime": outs[1].assignment,
+                }
+                break
+    failures = [
+        f"{label}_not_implementable"
+        for label, ever in zip(("alpha", "alpha_prime"), exhausted)
+        if ever
+    ]
+    return failures, witness
+
+
+def _dominance_reports(pairs):
+    """Both comparisons, for every agent, on every pair."""
+    return [
+        repr(report)
+        for alpha, alpha_prime in pairs
+        for report in [check_pointwise_dominance(alpha, alpha_prime)] + [
+            check_agent_dominance(alpha, alpha_prime, i) for i in range(alpha.instance.n)
+        ]
+    ]
+
+
+def _dominance_agrees(pairs):
+    """The same reports with the reference sweep in place of the table diff;
+    returns them."""
+    reports = _dominance_reports(pairs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compare, "_welfare_sweep", reference_welfare_sweep)
+        assert _dominance_reports(pairs) == reports
+    return reports
+
+
+def _dominance_pairs(seed):
+    """SD against SD on house n=3; DA at two nested capacity vectors, both
+    ways round; random assignments at (3,3) on one constraint or two; and
+    random 2-agent assignments on two constraints."""
+    rng = random.Random(seed)
+    inst = Instance(("1", "2", "3"), ("a", "b", "c"))
+    house = house_constraint(inst)
+    orders = list(itertools.permutations(range(3)))
+    pairs = [(sd_alpha(house, o), sd_alpha(house, o2)) for o in orders for o2 in orders]
+    while len(pairs) < 36 + 30:
+        small = tuple(rng.randint(0, 2) for _ in range(3))
+        if sum(small) < 3:
+            continue
+        big = tuple(min(3, q + rng.randint(0, 2)) for q in small)
+        priorities = tuple(tuple(rng.sample(range(3), 3)) for _ in range(3))
+        built = [da_alpha(SchoolSpec(inst, caps, priorities)) for caps in (small, big)]
+        pairs.append(tuple(built if len(pairs) % 2 else built[::-1]))
+
+    def constraint(inst):
+        size = inst.num_allocations
+        return Constraint(inst, frozenset(rng.sample(range(size), rng.randint(1, size))))
+
+    for _ in range(60):
+        c = constraint(inst)
+        c2 = c if rng.random() < 0.5 else constraint(inst)
+        pairs.append((_random_cells(rng, c, _subsets(3)), _random_cells(rng, c2, _subsets(3))))
+    for _ in range(60):
+        inst2 = Instance(("1", "2"), tuple("abc"[: rng.choice((2, 3))]))
+        pairs.append(tuple(_random_cells(rng, constraint(inst2), _subsets(2)) for _ in "ab"))
+    return pairs
+
+
+def test_compare_matches_the_run_lp_sweep():
+    reports = _dominance_agrees(_dominance_pairs(seed=5))
+    assert len(reports) == 684
+    # the corpus reaches both labels, witnesses, and holding comparisons
+    for needle in ("'alpha_not_implementable'", "'alpha_prime_not_implementable'",
+                   "witness={", "witness=None"):
+        assert sum(needle in r for r in reports) > 50, needle
+
+
+@given(two_agent_pairs())
+@settings(max_examples=80, deadline=None)
+def test_compare_matches_the_run_lp_sweep_on_generated_pairs(pair):
+    _dominance_agrees([pair])
 
 
 def reference_moved_codes(inst, x, agents):

@@ -119,6 +119,35 @@ def test_one_profile_budget_checked_where_a_sweep_starts():
     assert not found, f"budget parameters in {found}"
 
 
+def test_one_prefix_walk_decides_implementability():
+    # engine's prefix walk is the one sweep over outcomes: `run_lp` is the
+    # traced single run that only `lp run` calls, and profile-order rank
+    # tuples come from Instance.rank_tuples.
+    def calls(node, name):
+        return isinstance(node, ast.Call) and name in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        )
+
+    runs = [place for place in _find(lambda node: calls(node, "run_lp"))
+            if not place.startswith("cli.py:")]
+    assert not runs, f"run_lp calls in {runs}"
+
+    def profile_order_product(node):
+        return (
+            calls(node, "product")
+            and any(calls(arg, "range") for arg in node.args)
+            and any(
+                kw.arg == "repeat" and "n" in (getattr(kw.value, "attr", None),
+                                               getattr(kw.value, "id", None))
+                for kw in node.keywords
+            )
+        )
+
+    products = [place for place in _find(profile_order_product)
+                if not place.startswith("core.py:")]
+    assert not products, f"profile-order products in {products}"
+
+
 # Public names that no code in src/ or perfbench/ refers to, each kept for the
 # tests that use it. Any other public name without such a caller is API that
 # only tests reach.
