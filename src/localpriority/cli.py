@@ -91,6 +91,15 @@ def _emit(doc: Any) -> None:
     sys.stdout.write(fileio.dumps(doc))
 
 
+def _write(doc: str, out: str | None) -> None:
+    """Write a document to the --out file, or to stdout when there is none."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(doc)
+    else:
+        sys.stdout.write(doc)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     alpha = _load_alpha_arg(args)
     inst = alpha.instance
@@ -251,12 +260,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    doc = fileio.dumps(fileio.dump_alpha(_load_mechanism(args).alpha()))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc)
-    else:
-        sys.stdout.write(doc)
+    _write(fileio.dumps(fileio.dump_alpha(_load_mechanism(args).alpha())), args.out)
     return 0
 
 
@@ -264,12 +268,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     constraint = _load_constraint_arg(args)
     if constraint is None:
         raise ValueError("enumerate needs --constraint")
-    require_forward = args.forward or not (args.forward or args.backward)
-    require_backward = args.backward or not (args.forward or args.backward)
     options = EnumerationOptions(
         reading=args.reading,
-        require_forward=require_forward,
-        require_backward=require_backward,
+        require_forward=args.forward or not args.backward,
+        require_backward=args.backward or not args.forward,
         quotient_symmetry=args.quotient,
         dedupe_by_mechanism=args.dedupe,
         budget=args.budget,
@@ -282,7 +284,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             result.assignments[members[0]]
             for members in result.mechanism_groups.values()
         ]
-        stream.sort(key=lambda a: sorted(a.cells.items()))
     else:
         stream = result.assignments
     for alpha in stream:
@@ -322,12 +323,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         if constraint is None:
             raise ValueError("render needs --alpha or --constraint")
         target = constraint
-    doc = render(target, RenderSpec(args.format))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc)
-    else:
-        sys.stdout.write(doc)
+    _write(render(target, RenderSpec(args.format)), args.out)
     return 0
 
 

@@ -7,7 +7,6 @@ strategy-proof one violating backward consistency)."""
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
@@ -48,11 +47,10 @@ def is_forward_consistent(alpha: CompromiserAssignment) -> Verdict:
     be compromisers at y. A feasible y reached this way with compromisers left
     over is a violation."""
     inst = alpha.instance
+    masks = _masks(alpha)
     for x_code in sorted(alpha.cells):
-        cell = sorted(alpha.cells[x_code])
-        for y_code, moved in _moved_codes(inst, x_code, _mask(cell)):
-            cell_y = alpha.cell(y_code)
-            missing = tuple(i for i in cell if not moved >> i & 1 and i not in cell_y)
+        for y_code, moved in _moved_codes(inst, x_code, masks[x_code]):
+            missing = masks[x_code] & ~moved & ~masks[y_code]
             if missing:
                 return Verdict(
                     "forward_consistent",
@@ -60,16 +58,21 @@ def is_forward_consistent(alpha: CompromiserAssignment) -> Verdict:
                     {
                         "x": inst.decode(x_code),
                         "y": inst.decode(y_code),
-                        "alpha_x": tuple(cell),
-                        "alpha_y": tuple(sorted(cell_y)),
-                        "missing": missing,
+                        "alpha_x": tuple(sorted(alpha.cells[x_code])),
+                        "alpha_y": tuple(sorted(alpha.cell(y_code))),
+                        "missing": tuple(i for i in range(inst.n) if missing >> i & 1),
                     },
                 )
     return Verdict("forward_consistent", True)
 
 
-def _mask(agents: Iterable[int]) -> int:
-    return sum(1 << i for i in agents)
+def _masks(alpha: CompromiserAssignment) -> list[int]:
+    """Each allocation's cell as a bitmask of agents, by code; 0 where the
+    allocation is feasible."""
+    masks = [0] * alpha.instance.num_allocations
+    for code, cell in alpha.cells.items():
+        masks[code] = sum(1 << i for i in cell)
+    return masks
 
 
 def _moved_codes(inst: Instance, x_code: int, mask: int) -> list[tuple[int, int]]:
@@ -84,40 +87,43 @@ def _moved_codes(inst: Instance, x_code: int, mask: int) -> list[tuple[int, int]
     return sorted(found)
 
 
-def _neighbors(
-    alpha: CompromiserAssignment, code: int, abandoned: int
-) -> Iterator[tuple[int, int]]:
-    """Legal next states from an allocation along an acyclic compromise path:
-    a nonempty subset of the cell moves, nobody revisits an abandoned object.
-    Bit i*m + o of `abandoned` is set once agent i has left object o."""
-    for y_code, arrived, left in alpha.instance.steps(code, _mask(alpha.cell(code))):
-        if not arrived & abandoned:
-            yield y_code, abandoned | left
+def _reach(inst: Instance, masks: Sequence[int], x_code: int, agent: int) -> dict[int, int]:
+    """Breadth-first walk of the acyclic compromise paths that start with a
+    move by `agent` alone out of x and stay on infeasible allocations: a
+    nonempty subset of each cell moves, and nobody returns to an object they
+    left. A state packs the abandoned-object bits (bit i*m + o once agent i
+    has left object o) above the code, as bits * m^n + code. Returns every
+    state reached, in discovery order, mapped to the state it was first
+    reached from, which is x_code itself for the first step. `agent` must
+    compromise at x; `masks` is as `_masks` gives it."""
+    m, top = inst.m, inst.num_allocations
+    start = (1 << (agent * m + x_code // inst.powers[agent] % m)) * top
+    parents = {start + y: x_code for y in inst.moves(x_code, 1 << agent) if masks[y]}
+    queue = list(parents)
+    for state in queue:
+        abandoned, code = divmod(state, top)
+        for y, arrived, left in inst.steps(code, masks[code]):
+            if masks[y] and not arrived & abandoned:
+                nxt = (abandoned | left) * top + y
+                if nxt not in parents:
+                    parents[nxt] = state
+                    queue.append(nxt)
+    return parents
 
 
-def _connect_search(
-    alpha: CompromiserAssignment, x_code: int, agent: int
-) -> dict[int, tuple[int, ...]]:
-    """BFS over (allocation, abandoned-objects) states starting with a move by
-    `agent` alone. Returns every infeasible allocation reached, mapped to the
-    codes along the first witness path found to it."""
-    inst = alpha.instance
-    if agent not in alpha.cell(x_code):
-        return {}
-    start_ab = 1 << (agent * inst.m + x_code // inst.powers[agent] % inst.m)
-    queue = deque((code, start_ab, (x_code, code)) for code in inst.moves(x_code, 1 << agent))
-    seen = {(code, start_ab) for code, _, _ in queue}
-    reached: dict[int, tuple[int, ...]] = {}
-    while queue:
-        code, ab, path = queue.popleft()
-        if code not in alpha.constraint.feasible:
-            reached.setdefault(code, path)
-            for nxt, nab in _neighbors(alpha, code, ab):
-                state = (nxt, nab)
-                if state not in seen:
-                    seen.add(state)
-                    queue.append((nxt, nab, path + (nxt,)))
-    return reached
+def _first_paths(inst: Instance, parents: Mapping[int, int]) -> dict[int, tuple[int, ...]]:
+    """Each code a `_reach` walk reached, in discovery order, with the codes
+    along the path of the first state that reached it, x first."""
+    top = inst.num_allocations
+    paths: dict[int, tuple[int, ...]] = {}
+    for state in parents:
+        if state % top not in paths:
+            path = [state % top]
+            while state in parents:
+                state = parents[state]
+                path.append(state % top)
+            paths[path[0]] = tuple(reversed(path))
+    return paths
 
 
 def validate_connection_path(
@@ -152,21 +158,20 @@ def is_backward_consistent(
     meeting the hypothesis is an automatic violation; the relaxed reading
     quantifies over infeasible x' only.
 
-    Reach sets decide the verdict; only the first failing (agent, x) pair is
-    searched again breadth first, for the first y, x' and path in order.
+    One walk per (agent, x) decides the verdict. The witness comes from the
+    walk of the first failing pair: its first y in code order, the first x'
+    for that y, and the path of the first state that reached y.
     """
     _check_reading(reading)
     inst = alpha.instance
     strict = reading == "strict"
-    masks = [0] * inst.num_allocations
-    for code, cell in alpha.cells.items():
-        masks[code] = _mask(cell)
+    masks = _masks(alpha)
     failure = _backward_failure(inst, masks, strict)
     if failure is None:
         return Verdict("backward_consistent", True)
-    agent, x_code = failure
-    reached = _connect_search(alpha, x_code, agent)
-    for y_code in sorted(reached):
+    agent, x_code, parents = failure
+    paths = _first_paths(inst, parents)
+    for y_code in sorted(paths):
         xp_code = _stray(inst, masks, x_code, agent, masks[y_code] & ~(1 << agent), strict)
         if xp_code is not None:
             return Verdict(
@@ -179,11 +184,11 @@ def is_backward_consistent(
                     "x_prime": inst.decode(xp_code),
                     "alpha_y": tuple(sorted(alpha.cell(y_code))),
                     "alpha_x_prime": tuple(sorted(alpha.cell(xp_code))),
-                    "path": tuple(inst.decode(c) for c in reached[y_code]),
+                    "path": tuple(inst.decode(c) for c in paths[y_code]),
                     "reading": reading,
                 },
             )
-    raise AssertionError("the backward witness search found no failure the reach sets found")
+    raise AssertionError("the failing walk reached no y with a stray x'")
 
 
 def _stray(
@@ -191,8 +196,7 @@ def _stray(
 ) -> int | None:
     """The first x' moved from x by the agents in `mask` (x itself included,
     ascending by code) where `agent` is not a compromiser; the relaxed
-    reading passes over feasible x'. `masks[code]` is the cell at code as a
-    bitmask, 0 where the allocation is feasible."""
+    reading passes over feasible x'. `masks` is as `_masks` gives it."""
     for xp_code, _ in _moved_codes(inst, x_code, mask):
         if not masks[xp_code] >> agent & 1 and (strict or masks[xp_code]):
             return xp_code
@@ -201,36 +205,20 @@ def _stray(
 
 def _backward_failure(
     inst: Instance, masks: Sequence[int], strict: bool
-) -> tuple[int, int] | None:
-    """The first (i, x), agents ascending and then cells ascending, where x
+) -> tuple[int, int, dict[int, int]] | None:
+    """The first (i, x), agents ascending and then codes ascending, where x
     is i-connected to a y whose compromisers other than i move x to a stray
-    x'. The reach set is walked depth first, with no paths, over states that
-    pack the abandoned-object bits above the code; a y counts only through
-    its cell less i, so each (x, mask) is checked once per agent."""
-    m, powers, top = inst.m, inst.powers, inst.num_allocations
+    x', with the `_reach` walk of that pair. A y counts only through its cell
+    less i, so each distinct such mask is checked once per walk."""
+    top = inst.num_allocations
     for agent in range(inst.n):
         bit = 1 << agent
-        checked: set[int] = set()
         for x_code, x_mask in enumerate(masks):
-            if not x_mask & bit:
-                continue
-            start = (1 << (agent * m + x_code // powers[agent] % m)) * top
-            stack = [start + y for y in inst.moves(x_code, bit) if masks[y]]
-            seen = set(stack)
-            while stack:
-                abandoned, code = divmod(stack.pop(), top)
-                mask = masks[code]
-                key = x_code << inst.n | (mask & ~bit)
-                if key not in checked:
-                    if _stray(inst, masks, x_code, agent, mask & ~bit, strict) is not None:
-                        return agent, x_code
-                    checked.add(key)
-                for y, arrived, left in inst.steps(code, mask):
-                    if masks[y] and not arrived & abandoned:
-                        state = (abandoned | left) * top + y
-                        if state not in seen:
-                            seen.add(state)
-                            stack.append(state)
+            if x_mask & bit:
+                parents = _reach(inst, masks, x_code, agent)
+                for mask in {masks[state % top] & ~bit for state in parents}:
+                    if _stray(inst, masks, x_code, agent, mask, strict) is not None:
+                        return agent, x_code, parents
     return None
 
 

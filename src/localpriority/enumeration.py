@@ -17,7 +17,13 @@ import sys
 from dataclasses import dataclass
 
 from .core import CompromiserAssignment, Constraint, Instance, ScaleLimitError
-from .consistency import Reading, _check_reading, is_backward_consistent, is_forward_consistent
+from .consistency import (
+    Reading,
+    _check_reading,
+    _moved_codes,
+    is_backward_consistent,
+    is_forward_consistent,
+)
 from .engine import NotImplementableError, tabulate
 
 # Codes one search may hold in its move tables: every 4-agent instance within
@@ -42,21 +48,11 @@ class EnumerationOptions:
             raise ValueError("budget must be positive")
 
 
-@dataclass(frozen=True)
-class SymmetryGroup:
-    """All (agent permutation, object permutation) pairs fixing the feasible
-    set, found by brute force; the full element list is its own generating
-    set."""
-
-    constraint: Constraint
-    generators: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.generators)
-
-
-def constraint_symmetries(constraint: Constraint) -> SymmetryGroup:
+def constraint_symmetries(
+    constraint: Constraint,
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every (agent permutation, object permutation) pair fixing the feasible
+    set, found by brute force."""
     inst = constraint.instance
     feasible = constraint.feasible
     pairs = []
@@ -65,7 +61,7 @@ def constraint_symmetries(constraint: Constraint) -> SymmetryGroup:
             image = _permutation(inst, aperm, operm)
             if all(image(c) in feasible for c in sorted(feasible)):
                 pairs.append((aperm, operm))
-    return SymmetryGroup(constraint, tuple(pairs))
+    return tuple(pairs)
 
 
 def _permutation(inst: Instance, aperm: tuple[int, ...], operm: tuple[int, ...]):
@@ -179,24 +175,16 @@ class _Search:
         if not self.options.require_forward:
             self.forward = [[None] + [()] * self.full_mask for _ in self.cells]
             return
+        inst, feasible = self.constraint.instance, self.constraint.feasible
         self.forward = []
-        for k in range(len(self.cells)):
-            per_mask: list[None | tuple[tuple[int, int], ...]] = [None] * (
-                self.full_mask + 1
-            )
+        for code in self.cells:
+            per_mask: list[None | tuple[tuple[int, int], ...]] = [None]
             for mask in range(1, self.full_mask + 1):
-                cons: list[tuple[int, int]] = []
-                ok = True
-                sub = (mask - 1) & mask
-                while sub:
-                    req = mask & ~sub
-                    if self.moved_any_feasible[k][sub]:
-                        ok = False
-                        break
-                    for y_code in self.moved_infeasible[k][sub]:
-                        cons.append((self.index[y_code], req))
-                    sub = (sub - 1) & mask
-                per_mask[mask] = tuple(cons) if ok else None
+                moves = [(y, sub) for y, sub in _moved_codes(inst, code, mask) if 0 < sub < mask]
+                if any(y in feasible for y, _ in moves):
+                    per_mask.append(None)
+                else:
+                    per_mask.append(tuple((self.index[y], mask & ~sub) for y, sub in moves))
             self.forward.append(per_mask)
 
     def _build_backward_pairs(self) -> None:
@@ -351,11 +339,10 @@ def _quotient(result: EnumerationResult) -> list[tuple[CompromiserAssignment, in
     are minimal under the canonical cell-mask encoding."""
     constraint = result.constraint
     inst = constraint.instance
-    group = constraint_symmetries(constraint)
     codes = range(inst.num_allocations)
     actions = [
         (tuple(map(_permutation(inst, aperm, operm), codes)), _mask_map(inst.n, aperm))
-        for aperm, operm in group.generators
+        for aperm, operm in constraint_symmetries(constraint)
     ]
     cells = constraint.infeasible_codes()
     key_of: dict[tuple[int, ...], int] = {}

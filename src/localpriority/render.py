@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CompromiserAssignment, Constraint
+from .core import CompromiserAssignment, Constraint, Instance
 
 RENDER_FORMATS = ("ascii", "svg")
 FEASIBLE_MARK = "·"
@@ -52,8 +52,20 @@ def _cell_text(constraint: Constraint, alpha: CompromiserAssignment | None, code
     return "[" + " ".join(names) + "]"
 
 
-def _code_of(constraint: Constraint, coords: tuple[int, ...]) -> int:
-    return constraint.instance.encode(coords)
+def _panel_rows(inst: Instance) -> list[list[tuple[str, tuple[int, ...]]]]:
+    """The panels, row by row, each as (title, fixed coordinates of agents 3
+    and 4): agent 3's object varies along a row, agent 4's down the rows."""
+    if inst.n == 2:
+        grid: list[list[tuple[int, ...]]] = [[()]]
+    elif inst.n == 3:
+        grid = [[(p,) for p in range(inst.m)]]
+    else:
+        grid = [[(p, q) for p in range(inst.m)] for q in range(inst.m)]
+    names = [[f"{inst.agents[i]}={obj}" for obj in inst.objects] for i in range(2, inst.n)]
+    return [
+        [(" ".join(names[j][o] for j, o in enumerate(fixed)), fixed) for fixed in row]
+        for row in grid
+    ]
 
 
 def _panel_lines(
@@ -72,7 +84,7 @@ def _panel_lines(
     for r in range(inst.m):
         cells = []
         for c in range(inst.m):
-            code = _code_of(constraint, (r, c) + fixed)
+            code = inst.encode((r, c) + fixed)
             cells.append(_cell_text(constraint, alpha, code).ljust(width))
         label = f"{inst.agents[0]}={inst.objects[r]}".ljust(label_width)
         lines.append((label + " ".join(cells)).rstrip())
@@ -88,34 +100,11 @@ def _render_ascii(constraint: Constraint, alpha: CompromiserAssignment | None) -
     width = max(width, max(len(f"{inst.agents[1]}={o}") for o in inst.objects))
     label_width = max(len(f"{inst.agents[0]}={o}") for o in inst.objects) + 2
 
-    if inst.n == 2:
-        blocks = [_panel_lines(constraint, alpha, (), width, label_width)]
-        titles = [""]
-        panel_rows = [(blocks, titles)]
-    elif inst.n == 3:
-        blocks = []
-        titles = []
-        for p in range(inst.m):
-            blocks.append(_panel_lines(constraint, alpha, (p,), width, label_width))
-            titles.append(f"{inst.agents[2]}={inst.objects[p]}")
-        panel_rows = [(blocks, titles)]
-    else:
-        panel_rows = []
-        for q in range(inst.m):
-            blocks = []
-            titles = []
-            for p in range(inst.m):
-                blocks.append(
-                    _panel_lines(constraint, alpha, (p, q), width, label_width)
-                )
-                titles.append(
-                    f"{inst.agents[2]}={inst.objects[p]} {inst.agents[3]}={inst.objects[q]}"
-                )
-            panel_rows.append((blocks, titles))
-
     sep = "   "
     out_lines: list[str] = []
-    for blocks, titles in panel_rows:
+    for row in _panel_rows(inst):
+        blocks = [_panel_lines(constraint, alpha, fixed, width, label_width) for _, fixed in row]
+        titles = [title for title, _ in row]
         block_width = max(len(line) for block in blocks for line in block)
         if any(titles):
             out_lines.append(
@@ -136,8 +125,8 @@ def _render_svg(constraint: Constraint, alpha: CompromiserAssignment | None) -> 
     cell = 46
     pad = 34
     gap = 22
-    panels = inst.m if inst.n >= 3 else 1
-    panel_rows = inst.m if inst.n == 4 else 1
+    rows = _panel_rows(inst)
+    panels, panel_rows = len(rows[0]), len(rows)
     panel_w = pad + inst.m * cell
     panel_h = pad + inst.m * cell + 14
     total_w = panels * panel_w + (panels - 1) * gap + 8
@@ -147,14 +136,11 @@ def _render_svg(constraint: Constraint, alpha: CompromiserAssignment | None) -> 
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{total_w}" height="{total_h}" '
         f'font-family="monospace" font-size="11">'
     ]
-    for q in range(panel_rows):
-        for p in range(panels):
+    for q, row in enumerate(rows):
+        for p, (title, fixed) in enumerate(row):
             ox = 4 + p * (panel_w + gap) + pad
             oy = 4 + q * (panel_h + gap) + pad
-            if inst.n >= 3:
-                title = f"{inst.agents[2]}={inst.objects[p]}"
-                if inst.n == 4:
-                    title += f" {inst.agents[3]}={inst.objects[q]}"
+            if title:
                 parts.append(f'<text x="{ox}" y="{oy - 22}">{title}</text>')
             for c in range(inst.m):
                 parts.append(
@@ -165,8 +151,7 @@ def _render_svg(constraint: Constraint, alpha: CompromiserAssignment | None) -> 
                     f'<text x="{ox - 14}" y="{oy + r * cell + 26}">{inst.objects[r]}</text>'
                 )
                 for c in range(inst.m):
-                    fixed = () if inst.n == 2 else ((p,) if inst.n == 3 else (p, q))
-                    code = _code_of(constraint, (r, c) + fixed)
+                    code = inst.encode((r, c) + fixed)
                     feasible = code in constraint.feasible
                     fill = "#ffffff" if feasible else "#cccccc"
                     x, y = ox + c * cell, oy + r * cell

@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from localpriority.enumeration import EnumerationOptions, enumerate_consistent
+from localpriority.fileio import dump_alpha, load_constraint
+
 from conftest import FIXTURES, GOLDENS
 
 
@@ -209,6 +212,24 @@ def test_enumerate_streams_summary(tmp_path):
     for line in lines[:-1]:
         doc = json.loads(line)
         assert set(doc) == {"agents", "objects", "cells"}
+
+
+def test_enumerate_dedupe_streams_each_mechanism_first_member_in_order():
+    # One assignment per mechanism: the first one the search emitted, with
+    # the mechanisms in the order their first member was emitted.
+    proc = run_cli(
+        "enumerate", "--constraint", fx("social2.json"), "--reading", "relaxed", "--dedupe"
+    )
+    assert proc.returncode == 0
+    result = enumerate_consistent(
+        load_constraint(json.loads((FIXTURES / "social2.json").read_text())),
+        EnumerationOptions(reading="relaxed", dedupe_by_mechanism=True),
+    )
+    firsts = [result.assignments[members[0]] for members in result.mechanism_groups.values()]
+    assert len(firsts) == 20
+    assert [json.loads(line) for line in proc.stdout.splitlines()[:-1]] == [
+        dump_alpha(alpha) for alpha in firsts
+    ]
 
 
 def test_enumerate_refuses_oversized_constraint_up_front():

@@ -17,8 +17,10 @@ from localpriority.mechanisms import da_alpha, serial_dictatorship, ttc_alpha
 from localpriority.axioms import derive_alpha, is_group_strategy_proof, is_pareto_efficient
 from localpriority.consistency import (
     HarnessReport,
-    _connect_search,
+    _first_paths,
     _gsp_backward_candidates,
+    _masks,
+    _reach,
     find_gsp_backward_violation,
     find_pe_not_gsp,
     is_backward_consistent,
@@ -32,6 +34,7 @@ from localpriority.enumeration import EnumerationOptions, enumerate_consistent
 from localpriority.fileio import load_alpha
 
 from conftest import A, B, C, FIXTURES
+from test_oracle_reference import reference_connect_search
 
 
 def test_backward_check_steps_out_of_infeasible_allocations_only():
@@ -74,7 +77,11 @@ def test_singleton_cells_are_forward_consistent(inst3, house3):
 def _connections(alpha, x, agent):
     """Every allocation that x is i-connected to, for i = agent, with its witness path."""
     inst = alpha.instance
-    reached = _connect_search(alpha, inst.encode(x), agent)
+    x_code = inst.encode(x)
+    reached = reference_connect_search(alpha, x_code, agent)
+    if agent in alpha.cell(x_code):
+        paths = _first_paths(inst, _reach(inst, _masks(alpha), x_code, agent))
+        assert list(paths.items()) == list(reached.items())
     return {inst.decode(y): tuple(inst.decode(c) for c in path) for y, path in reached.items()}
 
 

@@ -30,9 +30,10 @@ from localpriority.axioms import (
     is_strategy_proof,
 )
 from localpriority.consistency import (
-    _connect_search,
-    _mask,
+    _first_paths,
+    _masks,
     _moved_codes,
+    _reach,
     is_backward_consistent,
     is_forward_consistent,
 )
@@ -942,18 +943,24 @@ def _consistency_agrees(alpha):
     _agrees(is_forward_consistent(alpha), reference_forward(alpha))
     for reading in ("strict", "relaxed"):
         _agrees(is_backward_consistent(alpha, reading), reference_backward(alpha, reading))
+    masks = _masks(alpha)
     for x_code in sorted(alpha.cells):
         x = inst.decode(x_code)
         for agents in itertools.chain.from_iterable(
             itertools.combinations(range(inst.n), k) for k in range(inst.n + 1)
         ):
-            moved = _moved_codes(inst, x_code, _mask(agents))
+            moved = _moved_codes(inst, x_code, sum(1 << i for i in agents))
             assert [code for code, _ in moved] == reference_moved_codes(inst, x, agents)
-            assert all(_mask(diff(x, inst.decode(code))) == sub for code, sub in moved)
-        for agent in range(inst.n):
-            assert _connect_search(alpha, x_code, agent) == reference_connect_search(
-                alpha, x_code, agent
+            assert all(
+                sum(1 << i for i in diff(x, inst.decode(code))) == sub for code, sub in moved
             )
+        for agent in range(inst.n):
+            reached = reference_connect_search(alpha, x_code, agent)
+            if agent in alpha.cells[x_code]:
+                paths = _first_paths(inst, _reach(inst, masks, x_code, agent))
+                assert list(paths.items()) == list(reached.items())
+            else:
+                assert reached == {}
     return reference_backward(alpha, "strict") is not None
 
 

@@ -42,6 +42,8 @@ def test_two_agent_render_single_grid(nonunique_alphas):
     doc = render(alpha_full)
     assert "[1 2]" in doc
     assert len(doc.splitlines()) == 4  # header plus one row per object
+    svg = render(alpha_full, RenderSpec("svg"))
+    assert svg == (GOLDENS / "nonunique_alpha_I.svg").read_text()
 
 
 def test_four_agent_render(inst3):
@@ -53,6 +55,8 @@ def test_four_agent_render(inst3):
     alpha = make_alpha(constraint, {c: {0} for c in constraint.infeasible_codes()})
     doc = render(alpha)
     assert "3=a 4=a" in doc and "3=b 4=b" in doc
+    assert doc == (GOLDENS / "four_agent.txt").read_text()
+    assert render(alpha, RenderSpec("svg")) == (GOLDENS / "four_agent.svg").read_text()
 
 
 def test_one_agent_not_renderable():
@@ -74,6 +78,7 @@ def test_svg_render(da_spec):
     doc = render(alpha, RenderSpec("svg"))
     assert doc.startswith("<svg")
     assert doc == render(alpha, RenderSpec("svg"))
+    assert doc == (GOLDENS / "da_alpha.svg").read_text()
     assert doc.count('fill="#cccccc"') == len(alpha.cells)
     assert doc.count('fill="#ffffff"') == 27 - len(alpha.cells)
 

@@ -75,6 +75,29 @@ def test_consistency_takes_path_steps_from_core():
     assert not found, f"combinations calls in {found}"
 
 
+def test_consistency_walks_compromise_paths_in_one_function():
+    # One breadth-first walk both decides backward consistency and explains a
+    # failure, so exactly one function takes steps and no second queue exists.
+    tree = ast.parse((PACKAGE / "consistency.py").read_text())
+    stepping = [
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "steps"
+            for node in ast.walk(top)
+        )
+    ]
+    assert len(stepping) == 1, f"functions calling Instance.steps: {stepping}"
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert "deque" not in imported, "consistency.py imports deque"
+
+
 def test_axioms_table_oracles_look_up_no_profiles():
     # The table oracles read f.table on index arithmetic. Looking up a profile
     # tuple is left to the explicit-profile intersection and the probe, which
