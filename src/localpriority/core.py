@@ -126,6 +126,45 @@ class Instance:
         return tuple(out)
 
     @cached_property
+    def prefix_steps(self) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]:
+        """prefix_steps[i][mask]: agent i's `prefix_children[mask]`, each as
+        (object place value, block offset, prefix bit): the object's value in
+        an allocation code, the child block's first profile index less its
+        parent's, and bit i*m + object of the packed prefixes `block` reads."""
+        m = self.m
+        return tuple(
+            tuple(
+                tuple((obj * place, offset * stride, 1 << (i * m + obj)) for obj, offset, _ in kids)
+                for kids in self.prefix_children
+            )
+            for i, (place, stride) in enumerate(zip(self.powers, self.strides))
+        )
+
+    @cached_property
+    def _blocks(self) -> dict[int, tuple[tuple[int, ...], int]]:
+        """Results of `block`, keyed by packed prefixes."""
+        return {}
+
+    def block(self, bits: int) -> tuple[tuple[int, ...], int]:
+        """The profiles whose rankings start with the prefixes packed in
+        `bits` (bit i*m + o when agent i's prefix holds object o), as runs of
+        the dense index: each run's start relative to the block's first
+        profile, and the run length. Agent i's rankings with a prefix of
+        length L form a contiguous range of (m - L)! ranks, so the block is
+        the product of the agents' ranges, and the last agent's range is one
+        run."""
+        found = self._blocks.get(bits)
+        if found is None:
+            m, fact = self.m, self.factorials
+            full = (1 << m) - 1
+            spans = [fact[m - (bits >> i * m & full).bit_count()] for i in range(self.n)]
+            starts = [0]
+            for span, stride in zip(spans[:-1], self.strides):
+                starts = [s + k * stride for s in starts for k in range(span)]
+            found = self._blocks[bits] = (tuple(starts), spans[-1])
+        return found
+
+    @cached_property
     def _moves(self) -> dict[int, tuple[int, ...]]:
         """Results of `moves`, keyed by code << n | mask."""
         return {}

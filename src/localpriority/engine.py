@@ -194,11 +194,11 @@ def _walk(alpha: CompromiserAssignment, partial: bool) -> tuple[int, ...]:
     infeasible allocation each agent in the cell branches over the objects not
     yet in their prefix. A node's profiles are the product of its agents'
     contiguous rank ranges (`Instance.prefix_children`), so a feasible leaf
-    fills its whole block of the table. The lowest index in a failing leaf's
-    block is the first profile whose run fails there; the sweep keeps the
-    lowest one over all failing leaves and prunes every subtree whose block
-    starts at or after it. With `partial`, an exhausting leaf is no failure:
-    it fills its block with EXHAUSTED.
+    fills its whole block of the table, in the runs `Instance.block` gives.
+    The lowest index in a failing leaf's block is the first profile whose run
+    fails there; the sweep keeps the lowest one over all failing leaves and
+    prunes every subtree whose block starts at or after it. With `partial`,
+    an exhausting leaf is no failure: it fills its block with EXHAUSTED.
     """
     inst = alpha.instance
     inst.check_profile_budget()
@@ -206,35 +206,33 @@ def _walk(alpha: CompromiserAssignment, partial: bool) -> tuple[int, ...]:
     feasible = alpha.constraint.feasible
     cells = alpha.cells
     powers, strides = inst.powers, inst.strides
-    children, fact = inst.prefix_children, inst.factorials
+    children, block = inst.prefix_children, inst.block
     full = (1 << m) - 1
     step_cap = n * (m - 1) + 1
     entries = [0] * inst.num_profiles
-    # The node's allocation and, per agent, their prefix as an object mask and
-    # the first rank of its range.
+    # The node's allocation and, per agent, their prefix as an object mask;
+    # the node's block starts at profile index bmin.
     x = [0] * n
     mask = [0] * n
-    lo = [0] * n
     # (block-min, error type, error arguments) of the failing leaf with the
     # lowest block-min so far. The error is built only when raised, so no
     # local refers to it and its traceback.
     first: tuple[int, type[ValueError], tuple] | None = None
 
-    def fill(code: int) -> None:
-        bases = [0]
-        for i in range(n - 1):
-            s, r, span = strides[i], lo[i], fact[m - mask[i].bit_count()]
-            bases = [b + k * s for b in bases for k in range(r, r + span)]
-        r, span = lo[-1], fact[m - mask[-1].bit_count()]
+    def fill(code: int, bmin: int) -> None:
+        bits = 0
+        for i in range(n):
+            bits |= mask[i] << i * m
+        starts, span = block(bits)
         run = [code] * span
-        for b in bases:
-            entries[b + r : b + r + span] = run
+        for s in starts:
+            entries[bmin + s : bmin + s + span] = run
 
     def visit(code: int, bmin: int, depth: int) -> None:
         nonlocal first
         if code in feasible:
             if first is None:
-                fill(code)
+                fill(code, bmin)
             return
         cell = cells.get(code)
         if not cell:
@@ -249,23 +247,23 @@ def _walk(alpha: CompromiserAssignment, partial: bool) -> tuple[int, ...]:
         elif not partial:
             first = bmin, NotImplementableError, (inst.profile_at(bmin), min(tired), depth + 1)
         elif first is None:
-            fill(EXHAUSTED)
+            fill(EXHAUSTED, bmin)
 
     def move(agents: Sequence[int], k: int, code: int, bmin: int, depth: int) -> None:
         if k == len(agents):
             visit(code, bmin, depth)
             return
         i = agents[k]
-        x0, mask0, lo0, s, p = x[i], mask[i], lo[i], strides[i], powers[i]
+        x0, mask0, s, p = x[i], mask[i], strides[i], powers[i]
         for obj, offset, child in children[mask0]:
             # Every block below this child starts at or after child_min, and
             # the later children start later still.
             child_min = bmin + offset * s
             if first is not None and child_min >= first[0]:
                 break
-            x[i], mask[i], lo[i] = obj, child, lo0 + offset
+            x[i], mask[i] = obj, child
             move(agents, k + 1, code + (obj - x0) * p, child_min, depth)
-        x[i], mask[i], lo[i] = x0, mask0, lo0
+        x[i], mask[i] = x0, mask0
 
     try:
         # The roots: every agent moves from the empty prefix to their top choice.

@@ -5,9 +5,11 @@ mechanism-level deduplication.
 Forward consistency is enforced exactly during the depth-first search. Backward
 consistency over two-step connections is also propagated during the search
 (both a sound pruning rule and the source of required-agent lower bounds);
-the full path-global condition is then checked on every completed assignment,
-and each survivor is tabulated once, which decides implementability and keys
-the mechanism deduplication.
+the full path-global condition is then checked on every completed assignment.
+Implementability is propagated too: the prefix walk of `engine.tabulate` runs
+inside the search through the assigned cells, so a branch is cut as soon as
+some run exhausts on them, every leaf is implementable, and the walk has
+already filled the leaf's table, which keys the mechanism deduplication.
 """
 
 from __future__ import annotations
@@ -137,9 +139,17 @@ class _Search:
         self.options = options
         inst = constraint.instance
         self.cells: list[int] = constraint.infeasible_codes()
-        self.index = {code: k for k, code in enumerate(self.cells)}
+        # Cell index by allocation code, -1 where the allocation is feasible.
+        self.index = [-1] * inst.num_allocations
+        for k, code in enumerate(self.cells):
+            self.index[code] = k
         self.n = inst.n
         self.full_mask = 2**inst.n - 1
+        # One agent set per mask, shared by every emitted assignment.
+        self.agent_sets = [
+            frozenset(i for i in range(inst.n) if mask >> i & 1)
+            for mask in range(self.full_mask + 1)
+        ]
         self.assigned = [0] * len(self.cells)
         self.required = [0] * len(self.cells)
         self.nodes = 0
@@ -152,6 +162,7 @@ class _Search:
         self._build_forward()
         if options.require_backward:
             self._build_backward_pairs()
+        self._build_walk()
 
     def _build_moves(self) -> None:
         """moved[k][mask]: codes reachable from cell k by changing exactly the
@@ -228,27 +239,94 @@ class _Search:
                 sub = (sub - 1) & movers
         return True
 
+    def _build_walk(self) -> None:
+        """The prefix walk of `engine._walk`, restricted to the assigned cells,
+        as `self.walk(depth, stack)`: it runs the walk states on `stack`
+        through cells 0 to `depth`, which are assigned, with an explicit
+        stack, and returns False when a compromiser at an assigned cell has no
+        object left. That prune is sound: the run of every profile in the
+        state's block reads only assigned cells so far, so every completion of
+        the assignment exhausts on that block.
+
+        A walk state packs, from the least significant bit up, its allocation
+        code, its block's first profile index, the prefixes of every agent
+        (bit i*m + o, as `Instance.block` reads them) and its step count. So a
+        step adds ints: one step, and for each mover a packed
+        `Instance.prefix_steps` option less the place value of the mover's
+        old object. A state that reaches an unassigned cell waits ("parks") in
+        that cell's list until the walk at that cell's depth runs it on; one
+        that reaches a feasible allocation fills its block of `table`. The
+        roots park or fill here, before any cell is assigned."""
+        inst = self.constraint.instance
+        n, m, powers, block = inst.n, inst.m, inst.powers, inst.block
+        code_bits = (inst.num_allocations - 1).bit_length()
+        base_bits = (inst.num_profiles - 1).bit_length()
+        bits_shift = code_bits + base_bits
+        code_mask, base_mask = (1 << code_bits) - 1, (1 << base_bits) - 1
+        bits_mask = (1 << n * m) - 1
+        agent_shift = [bits_shift + i * m for i in range(n)]
+        full, step = (1 << m) - 1, 1 << bits_shift + n * m
+        step_cap = (n * (m - 1) + 1) * step
+        options_of = [
+            [
+                tuple(place + (offset << code_bits) + (bit << bits_shift)
+                      for place, offset, bit in kids)
+                for kids in per_mask
+            ]
+            for per_mask in inst.prefix_steps
+        ]
+        movers = [[i for i in range(n) if mask >> i & 1] for mask in range(self.full_mask + 1)]
+        index, assigned = self.index, self.assigned
+        table = self.table = [0] * inst.num_profiles
+        parked = self.parked = [[] for _ in self.cells]
+        # Cells whose parked lists grew, in order, so a backtrack can pop them.
+        parked_log = self.parked_log = []
+
+        def walk(depth: int, stack: list[int]) -> bool:
+            while stack:
+                state = stack.pop()
+                code = state & code_mask
+                k = index[code]
+                if k < 0:
+                    starts, span = block(state >> bits_shift & bits_mask)
+                    base = state >> code_bits & base_mask
+                    run = [code] * span
+                    for s in starts:
+                        table[base + s : base + s + span] = run
+                elif k > depth:
+                    parked[k].append(state)
+                    parked_log.append(k)
+                else:
+                    if state >= step_cap:
+                        raise AssertionError("rank descent bound violated")
+                    kids = [state + step]
+                    for i in movers[assigned[k]]:
+                        options = options_of[i][state >> agent_shift[i] & full]
+                        if not options:
+                            return False
+                        old = code // powers[i] % m * powers[i]
+                        kids = [kid - old + option for kid in kids for option in options]
+                    stack += kids
+            return True
+
+        self.walk = walk
+        roots = [0]
+        for per_mask in options_of:
+            roots = [state + option for state in roots for option in per_mask[0]]
+        walk(-1, roots)
+
     def _emit(self) -> None:
+        sets = self.agent_sets
         alpha = CompromiserAssignment(
             self.constraint,
-            {
-                code: frozenset(
-                    i for i in range(self.n) if (self.assigned[k] >> i) & 1
-                )
-                for k, code in enumerate(self.cells)
-            },
+            {code: sets[mask] for code, mask in zip(self.cells, self.assigned)},
         )
         if self.options.require_backward:
             if not is_backward_consistent(alpha, self.options.reading).holds:
                 self.pruned += 1
                 return
-        try:
-            table = tabulate(alpha)
-        except NotImplementableError:
-            self.pruned += 1
-            return
         if self.groups is not None:
-            self.groups.setdefault(table.table, []).append(len(self.found))
+            self.groups.setdefault(tuple(self.table), []).append(len(self.found))
         self.found.append(alpha)
 
     def run(self) -> bool:
@@ -264,6 +342,7 @@ class _Search:
         assigned = self.assigned
         required = self.required
         forward = self.forward[depth]
+        parked, parked_log, walk = self.parked, self.parked_log, self.walk
         for mask in range(1, self.full_mask + 1):
             self.nodes += 1
             if self.nodes > self.options.budget:
@@ -290,6 +369,9 @@ class _Search:
                 assigned[depth] = mask
                 if self.options.require_backward:
                     ok = self._apply_backward(depth, undo)
+            mark = len(parked_log)
+            if ok:
+                ok = walk(depth, parked[depth][:])
             if ok:
                 if not self._dfs(depth + 1):
                     return False
@@ -297,6 +379,8 @@ class _Search:
                 self.pruned += 1
             for j, old in reversed(undo):
                 required[j] = old
+            while len(parked_log) > mark:
+                parked[parked_log.pop()].pop()
         assigned[depth] = 0
         return True
 
@@ -306,11 +390,15 @@ def enumerate_consistent(
 ) -> EnumerationResult:
     """Depth-first enumeration over the cells in increasing allocation-code
     order; emitted assignments are implementable and satisfy the requested
-    consistency conditions, in canonical order."""
+    consistency conditions, in canonical order. Implementability is decided
+    inside the search by the prefix walk through the assigned cells, so every
+    leaf it reaches is implementable, and with dedupe the leaf's table is the
+    one the walk filled."""
     options = options or EnumerationOptions()
-    # Every leaf tabulates under the profile budget, the move tables hold
-    # |cells| * (m^n - 1) codes, and `_dfs` recurses once per cell: an instance
-    # too large for any of them is refused before a table is built.
+    # The walk fills one table of num_profiles entries under the profile
+    # budget, the move tables hold |cells| * (m^n - 1) codes, and `_dfs`
+    # recurses once per cell: an instance too large for any of them is refused
+    # before a table is built.
     inst = constraint.instance
     inst.check_profile_budget()
     cells = inst.num_allocations - len(constraint.feasible)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,6 +228,28 @@ def test_prefix_children_give_contiguous_rank_ranges(m):
     assert seen == sum(math.perm(m, k) for k in range(m + 1))
 
 
+@pytest.mark.parametrize("n,m", ENCODING_SHAPES)
+def test_prefix_steps_and_blocks_match_the_definitions(n, m):
+    inst = _instance(n, m)
+    for i, (place, stride) in enumerate(zip(inst.powers, inst.strides)):
+        for mask, kids in enumerate(inst.prefix_children):
+            assert inst.prefix_steps[i][mask] == tuple(
+                (obj * place, offset * stride, 1 << (i * m + obj)) for obj, offset, _ in kids
+            )
+    profiles = list(inst.all_profiles())
+    rng = random.Random(10 * n + m)
+    for _ in range(25):
+        prefixes = [tuple(rng.sample(range(m), rng.randint(0, m))) for _ in range(n)]
+        bits = sum(1 << (i * m + obj) for i, prefix in enumerate(prefixes) for obj in prefix)
+        members = [
+            k for k, profile in enumerate(profiles)
+            if all(pref[: len(prefix)] == prefix for pref, prefix in zip(profile, prefixes))
+        ]
+        starts, span = inst.block(bits)
+        assert [members[0] + s + r for s in starts for r in range(span)] == members
+        assert inst.block(bits) is inst.block(bits)
+
+
 @pytest.mark.parametrize("n,m", MOVE_SHAPES)
 def test_parts_and_part_sets_match_their_definitions(n, m):
     inst = _instance(n, m)
@@ -252,10 +275,11 @@ def test_cached_tables_leave_equality_and_hashing_alone():
     used, fresh = _instance(3, 2), _instance(3, 2)
     for attr in ("n", "m", "num_allocations", "num_profiles", "powers",
                  "preference_rank", "positions", "strides", "decode_table",
-                 "factorials", "prefix_children", "_moves", "_steps",
-                 "_parts", "_part_sets", "weakly_better"):
+                 "factorials", "prefix_children", "prefix_steps", "_blocks",
+                 "_moves", "_steps", "_parts", "_part_sets", "weakly_better"):
         getattr(used, attr)
     used.all_preferences()
+    used.block(0b100011)
     used.moves(5, 0b101)
     used.steps(5, 0b101)
     used.parts(0b101)

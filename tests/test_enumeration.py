@@ -2,6 +2,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localpriority.core import (
     Constraint,
@@ -186,17 +187,76 @@ def test_quotient_and_dedupe_on_social():
     assert summary["mechanism_count"] <= result.count
 
 
-@pytest.mark.parametrize("name", ["house3", "social2"])
-def test_mechanism_groups_regroup_assignments_by_table(name, house3):
-    constraint = house3 if name == "house3" else load_constraint(load_fixture("social2.json"))
-    options = EnumerationOptions(dedupe_by_mechanism=True)
-    result = enumerate_consistent(constraint, options)
+def _regroup(result):
+    """The mechanism groups `tabulate` gives the emitted assignments."""
     regrouped = {}
     for k, alpha in enumerate(result.assignments):
         regrouped.setdefault(tabulate(alpha).table, []).append(k)
+    return regrouped
+
+
+@pytest.mark.parametrize("name,reading", [
+    ("house3", "strict"), ("house+a", "strict"), ("house+b", "strict"), ("house+c", "strict"),
+    ("social2", "strict"), ("house3", "relaxed"), ("social2", "relaxed"),
+], ids=["house3", "house+a", "house+b", "house+c", "social2", "house3-relaxed", "social2-relaxed"])
+def test_mechanism_groups_regroup_assignments_by_table(name, reading, house3):
+    # The search keys each group on the table its walk filled; tabulate is
+    # the oracle, on the benchmark's constraints (house n=3, and house n=3
+    # plus one all-same allocation) and in the relaxed reading, whose house
+    # search emits 7,218 assignments.
+    if name == "social2":
+        constraint = load_constraint(load_fixture("social2.json"))
+    elif name == "house3":
+        constraint = house3
+    else:
+        inst = house3.instance
+        obj = inst.object_index(name[-1])
+        constraint = Constraint(inst, house3.feasible | {inst.encode((obj,) * inst.n)}, ("explicit",))
+    options = EnumerationOptions(reading=reading, dedupe_by_mechanism=True)
+    result = enumerate_consistent(constraint, options)
+    regrouped = _regroup(result)
+    assert result.complete
     assert list(result.mechanism_groups.items()) == list(regrouped.items())
     assert result.mechanism_count == len(regrouped)
     assert regrouped
+
+
+@st.composite
+def two_agent_constraints(draw):
+    m = draw(st.integers(2, 3))
+    inst = Instance(("1", "2"), tuple("abc"[:m]))
+    codes = range(inst.num_allocations)
+    infeasible = draw(st.sets(st.sampled_from(codes), max_size=min(6, len(codes) - 1)))
+    return Constraint(inst, frozenset(codes) - infeasible, ("explicit",))
+
+
+@given(two_agent_constraints(), st.sampled_from(["strict", "relaxed"]), st.booleans(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_search_matches_brute_force_on_generated_constraints(constraint, reading, forward, backward):
+    # Same assignments in the same order as the naive filter, whose
+    # implementability test is tabulate, and groups keyed on tabulate's tables.
+    options = EnumerationOptions(
+        reading=reading, require_forward=forward, require_backward=backward,
+        dedupe_by_mechanism=True,
+    )
+    result = enumerate_consistent(constraint, options)
+    brute = brute_force_consistent(constraint, options)
+    assert result.complete
+    assert [sorted(a.cells.items()) for a in result.assignments] == [
+        sorted(a.cells.items()) for a in brute
+    ]
+    assert list(result.mechanism_groups.items()) == list(_regroup(result).items())
+
+
+def test_strict_backward_only_house_search_completes_within_a_small_budget(house3):
+    # A branch on which some run exhausts is cut once the cells that run reads
+    # are set, so the search that reads only backward consistency finishes in
+    # 300,000 nodes. A search that decided implementability only at its
+    # leaves would stop within this budget with 249 of the 1,200 assignments.
+    options = EnumerationOptions(require_forward=False, budget=300_000)
+    result = enumerate_consistent(house3, options)
+    assert result.complete
+    assert result.count == 1_200
 
 
 def test_options_validation():

@@ -171,6 +171,37 @@ def test_one_prefix_walk_decides_implementability():
     assert not products, f"profile-order products in {products}"
 
 
+def test_only_the_completeness_oracle_tabulates_in_enumeration():
+    # The search fills each leaf's table with its own restricted prefix walk,
+    # so brute_force_consistent, the naive filter it is checked against, is
+    # the one caller of tabulate in enumeration.py.
+    tree = ast.parse((PACKAGE / "enumeration.py").read_text())
+    callers = [
+        top.name
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "tabulate"
+    ]
+    assert callers == ["brute_force_consistent"], f"tabulate called in {callers}"
+
+
+def test_block_arithmetic_lives_in_core():
+    # A block of profiles is the product of its agents' rank ranges, each of
+    # (m - prefix length)! ranks. Instance.block builds that product and
+    # Instance.prefix_steps the offsets of child blocks, so the two prefix
+    # walks read neither the factorials nor a prefix's length.
+    found = []
+    for name in ("engine.py", "enumeration.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        found += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("factorials", "bit_count")
+        ]
+    assert not found, f"rank-range arithmetic in {found}"
+
+
 # Public names that no code in src/ or perfbench/ refers to, each kept for the
 # tests that use it. Any other public name without such a caller is API that
 # only tests reach.
