@@ -393,7 +393,7 @@ def _all_cell_choices(
     """Every compromiser assignment for a constraint, smallest total cell size
     first (then lexicographic), so minimal witnesses surface early."""
     inst = constraint.instance
-    cells = constraint.infeasible_codes()
+    cells = constraint.infeasible_codes
     by_size: dict[int, list[frozenset[int]]] = {}
     for mask in range(1, 2**inst.n):
         agents = frozenset(i for i in range(inst.n) if (mask >> i) & 1)

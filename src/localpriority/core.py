@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 # A preference is a ranking of all object indices, best first.
 Preference = tuple[int, ...]
@@ -33,6 +33,41 @@ class ScaleLimitError(ValueError):
 
 class MalformedAssignmentError(ValueError):
     """A compromiser assignment has a missing or empty cell where one is required."""
+
+
+class PrefixWalk(NamedTuple):
+    """Per-instance constants of the packed prefix walk (`engine._walk`).
+
+    A walk state is one int. From the least significant bit up it holds an
+    allocation code, the first profile index of the state's block, every
+    agent's ranking prefix as object bits (bit i*m + o, as `Instance.block`
+    reads them) and the number of steps taken. A step adds ints: one `step`,
+    and for each mover one of `prefix_options[i][prefix]` less the place
+    value of the mover's old object. Every option list and `roots` run from
+    the highest block to the lowest, so a stack pops the lowest first."""
+
+    code_mask: int
+    base_shift: int
+    base_mask: int
+    bits_shift: int
+    bits_mask: int
+    # Per agent, the shift of their prefix bits.
+    shifts: tuple[int, ...]
+    # A prefix that holds every object.
+    full: int
+    step: int
+    # The first step count past the rank-descent bound n(m - 1) + 1.
+    step_cap: int
+    # prefix_options[i][prefix]: one packed option per object that can come
+    # next after agent i's prefix: the object's place value, the child
+    # block's first profile index less its parent's, and the object's bit.
+    prefix_options: tuple[tuple[tuple[int, ...], ...], ...]
+    # One state per top-choice vector, with no step taken.
+    roots: tuple[int, ...]
+    # movers[mask]: the agents in the mask, ascending; mask_of inverts it on
+    # agent sets.
+    movers: tuple[tuple[int, ...], ...]
+    mask_of: dict[frozenset[int], int]
 
 
 @dataclass(frozen=True)
@@ -109,35 +144,45 @@ class Instance:
         return tuple(math.factorial(k) for k in range(self.m + 1))
 
     @cached_property
-    def prefix_children(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        """Per bitmask of the objects in a ranking prefix of length L, one
-        (object, rank offset, child mask) per object that can come next, in
-        ascending object order. The rankings sharing a prefix form one
-        contiguous rank range of (m - L)! rankings, and the child for the j-th
-        unused object starts j * (m - L - 1)! ranks after its parent."""
-        m, fact = self.m, self.factorials
-        out = []
-        for mask in range(1 << m):
-            unused = [obj for obj in range(m) if not mask >> obj & 1]
-            span = fact[len(unused) - 1] if unused else 0
-            out.append(
-                tuple((obj, j * span, mask | 1 << obj) for j, obj in enumerate(unused))
-            )
-        return tuple(out)
-
-    @cached_property
-    def prefix_steps(self) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]:
-        """prefix_steps[i][mask]: agent i's `prefix_children[mask]`, each as
-        (object place value, block offset, prefix bit): the object's value in
-        an allocation code, the child block's first profile index less its
-        parent's, and bit i*m + object of the packed prefixes `block` reads."""
-        m = self.m
-        return tuple(
-            tuple(
-                tuple((obj * place, offset * stride, 1 << (i * m + obj)) for obj, offset, _ in kids)
-                for kids in self.prefix_children
-            )
-            for i, (place, stride) in enumerate(zip(self.powers, self.strides))
+    def prefix_walk(self) -> PrefixWalk:
+        """The packing constants of `engine._walk` on this instance."""
+        n, m, fact = self.n, self.m, self.factorials
+        code_bits = (self.num_allocations - 1).bit_length()
+        base_bits = (self.num_profiles - 1).bit_length()
+        bits_shift = code_bits + base_bits
+        step = 1 << bits_shift + n * m
+        # The rankings that share a prefix of length L form one contiguous
+        # range of (m - L)! ranks, and the j-th unused object's child range
+        # starts j * (m - L - 1)! ranks after its parent's.
+        options = []
+        for i, (place, stride) in enumerate(zip(self.powers, self.strides)):
+            per_mask = []
+            for mask in range(1 << m):
+                unused = [obj for obj in range(m) if not mask >> obj & 1]
+                span = fact[len(unused) - 1] * stride if unused else 0
+                per_mask.append(tuple(
+                    obj * place + (j * span << code_bits) + (1 << bits_shift + i * m + obj)
+                    for j, obj in reversed(list(enumerate(unused)))
+                ))
+            options.append(tuple(per_mask))
+        roots = [0]
+        for per_mask in options:
+            roots = [state + option for state in roots for option in per_mask[0]]
+        movers = tuple(tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n))
+        return PrefixWalk(
+            code_mask=(1 << code_bits) - 1,
+            base_shift=code_bits,
+            base_mask=(1 << base_bits) - 1,
+            bits_shift=bits_shift,
+            bits_mask=(1 << n * m) - 1,
+            shifts=tuple(bits_shift + i * m for i in range(n)),
+            full=(1 << m) - 1,
+            step=step,
+            step_cap=(n * (m - 1) + 1) * step,
+            prefix_options=tuple(options),
+            roots=tuple(roots),
+            movers=movers,
+            mask_of={frozenset(agents): mask for mask, agents in enumerate(movers)},
         )
 
     @cached_property
@@ -367,8 +412,20 @@ class Constraint:
             if not 0 <= code < top:
                 raise ValueError(f"feasible code {code} out of range")
 
-    def infeasible_codes(self) -> list[int]:
-        return [c for c in range(self.instance.num_allocations) if c not in self.feasible]
+    @cached_property
+    def infeasible_codes(self) -> tuple[int, ...]:
+        """The infeasible allocations, the cells of a compromiser assignment,
+        in code order."""
+        return tuple(c for c in range(self.instance.num_allocations) if c not in self.feasible)
+
+    @cached_property
+    def cell_index(self) -> tuple[int, ...]:
+        """Each allocation's place in `infeasible_codes`, by code; -1 where
+        the allocation is feasible."""
+        index = [-1] * self.instance.num_allocations
+        for k, code in enumerate(self.infeasible_codes):
+            index[code] = k
+        return tuple(index)
 
     @cached_property
     def feasible_assignments(self) -> tuple[Assignment, ...]:

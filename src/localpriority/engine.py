@@ -172,109 +172,111 @@ EXHAUSTED = -1  # the outcome code of a profile whose run exhausts
 
 def tabulate(alpha: CompromiserAssignment) -> MechanismTable:
     """Dense table of the local priority mechanism, by the one prefix walk
-    (`_walk`). Exhaustion raises NotImplementableError carrying the
-    lexicographically first exhausting profile, with the agent and step that
-    `run_lp` reports on it."""
-    return MechanismTable(alpha.constraint, _walk(alpha, False))
+    (`_walk`) with every cell assigned. Exhaustion raises
+    NotImplementableError carrying the lexicographically first exhausting
+    profile, with the agent and step that `run_lp` reports on it."""
+    return MechanismTable(alpha.constraint, _sweep(alpha, False))
 
 
 def outcome_codes(alpha: CompromiserAssignment) -> tuple[int, ...]:
     """Every profile's outcome code, in dense index order, by the same walk as
     `tabulate`, with EXHAUSTED where the run exhausts."""
-    return _walk(alpha, True)
+    return _sweep(alpha, True)
 
 
-def _walk(alpha: CompromiserAssignment, partial: bool) -> tuple[int, ...]:
-    """Outcome code per profile, by one walk over ranking prefixes.
+def _sweep(alpha: CompromiserAssignment, partial: bool) -> tuple[int, ...]:
+    """Outcome code per profile, by `_walk` from every root, lowest first.
 
-    A run reads each agent's ranking only down to the object the agent stops
-    at, so every profile that shares those ranking prefixes has the same run.
-    The sweep walks prefixes depth first instead of running once per profile.
-    The roots are the top-choice vectors, agent 0 most significant; at an
-    infeasible allocation each agent in the cell branches over the objects not
-    yet in their prefix. A node's profiles are the product of its agents'
-    contiguous rank ranges (`Instance.prefix_children`), so a feasible leaf
-    fills its whole block of the table, in the runs `Instance.block` gives.
-    The lowest index in a failing leaf's block is the first profile whose run
-    fails there; the sweep keeps the lowest one over all failing leaves and
-    prunes every subtree whose block starts at or after it. With `partial`,
-    an exhausting leaf is no failure: it fills its block with EXHAUSTED.
+    Every block below a state starts at or after the state's, and a failing
+    state's block starts at the first profile whose run fails there. So the
+    sweep keeps the failing state with the lowest block start, drops every
+    stacked state at or past it, and walks on. With `partial`, an exhausting
+    state is no failure: its block is filled with EXHAUSTED.
     """
     inst = alpha.instance
     inst.check_profile_budget()
-    n, m = inst.n, inst.m
-    feasible = alpha.constraint.feasible
-    cells = alpha.cells
-    powers, strides = inst.powers, inst.strides
-    children, block = inst.prefix_children, inst.block
-    full = (1 << m) - 1
-    step_cap = n * (m - 1) + 1
-    entries = [0] * inst.num_profiles
-    # The node's allocation and, per agent, their prefix as an object mask;
-    # the node's block starts at profile index bmin.
-    x = [0] * n
-    mask = [0] * n
-    # (block-min, error type, error arguments) of the failing leaf with the
-    # lowest block-min so far. The error is built only when raised, so no
-    # local refers to it and its traceback.
-    first: tuple[int, type[ValueError], tuple] | None = None
+    plan, constraint, cells = inst.prefix_walk, alpha.constraint, alpha.cells
+    index = constraint.cell_index
+    masks = [plan.mask_of.get(cells.get(code), 0) for code in constraint.infeasible_codes]
+    code_mask, base_shift, base_mask = plan.code_mask, plan.base_shift, plan.base_mask
+    table = [0] * inst.num_profiles
+    stack = list(plan.roots)
+    first, lowest = None, inst.num_profiles
+    while stack:
+        state = _walk(inst, index, masks, len(masks), stack, table, [], [])
+        if state is None:
+            break
+        base = state >> base_shift & base_mask
+        if partial and masks[index[state & code_mask]]:
+            starts, span = inst.block(state >> plan.bits_shift & plan.bits_mask)
+            for s in starts:
+                table[base + s : base + s + span] = [EXHAUSTED] * span
+            continue
+        if base < lowest:
+            first, lowest = state, base
+        stack = [s for s in stack if s >> base_shift & base_mask < lowest]
+    if first is None:
+        return tuple(table)
+    code = first & code_mask
+    mask = masks[index[code]]
+    if not mask:
+        x = inst.assignment_names(inst.decode(code))
+        raise MalformedAssignmentError(f"missing or empty cell at infeasible {x}")
+    tired = [i for i in plan.movers[mask] if first >> plan.shifts[i] & plan.full == plan.full]
+    raise NotImplementableError(inst.profile_at(lowest), tired[0], first // plan.step + 1)
 
-    def fill(code: int, bmin: int) -> None:
-        bits = 0
-        for i in range(n):
-            bits |= mask[i] << i * m
-        starts, span = block(bits)
-        run = [code] * span
-        for s in starts:
-            entries[bmin + s : bmin + s + span] = run
 
-    def visit(code: int, bmin: int, depth: int) -> None:
-        nonlocal first
-        if code in feasible:
-            if first is None:
-                fill(code, bmin)
-            return
-        cell = cells.get(code)
-        if not cell:
-            message = f"missing or empty cell at infeasible {inst.assignment_names(x)}"
-            first = bmin, MalformedAssignmentError, (message,)
-            return
-        tired = [i for i in cell if mask[i] == full]
-        if not tired:
-            if depth >= step_cap:
+def _walk(inst: Instance, index: Sequence[int], masks: Sequence[int], depth: int,
+          stack: list[int], table: list[int], parked: list[list[int]], log: list[int]) -> int | None:
+    """The one prefix walk. It runs the packed states on `stack` (see
+    `PrefixWalk`) and returns the first that fails, or None once the stack
+    is empty.
+
+    A run reads each agent's ranking only down to the object the agent stops
+    at, so a state stands for the block of profiles that share its prefixes.
+    `index` and `masks` give each infeasible allocation's cell and the cell's
+    compromisers as a bitmask, and only cells 0 to `depth` are assigned. A
+    state at a feasible allocation fills its block of `table` with the code.
+    One at a later cell waits ("parks") in that cell's `parked` list, and the
+    cell goes on `log`. At an assigned cell, each compromiser moves to every
+    object not yet in their prefix. A state fails where its cell is empty or
+    a compromiser's prefix holds every object: then every profile in its
+    block exhausts on cells 0 to `depth`, whatever the later cells hold.
+    """
+    plan = inst.prefix_walk
+    code_mask, base_shift, base_mask = plan.code_mask, plan.base_shift, plan.base_mask
+    bits_shift, bits_mask, shifts, full = plan.bits_shift, plan.bits_mask, plan.shifts, plan.full
+    step, step_cap, options_of, movers = plan.step, plan.step_cap, plan.prefix_options, plan.movers
+    block, powers, m = inst.block, inst.powers, inst.m
+    while stack:
+        state = stack.pop()
+        code = state & code_mask
+        k = index[code]
+        if k < 0:
+            starts, span = block(state >> bits_shift & bits_mask)
+            base = state >> base_shift & base_mask
+            run = [code] * span
+            for s in starts:
+                table[base + s : base + s + span] = run
+        elif k > depth:
+            parked[k].append(state)
+            log.append(k)
+        else:
+            mask = masks[k]
+            if not mask:
+                return state
+            kids = [state + step]
+            for i in movers[mask]:
+                options = options_of[i][state >> shifts[i] & full]
+                if not options:
+                    return state
+                place = powers[i]
+                old = code // place % m * place
+                kids = [kid - old + option for kid in kids for option in options]
+            if state >= step_cap:
                 raise AssertionError("rank descent bound violated")
-            move(sorted(cell), 0, code, bmin, depth + 1)
-        elif not partial:
-            first = bmin, NotImplementableError, (inst.profile_at(bmin), min(tired), depth + 1)
-        elif first is None:
-            fill(EXHAUSTED, bmin)
-
-    def move(agents: Sequence[int], k: int, code: int, bmin: int, depth: int) -> None:
-        if k == len(agents):
-            visit(code, bmin, depth)
-            return
-        i = agents[k]
-        x0, mask0, s, p = x[i], mask[i], strides[i], powers[i]
-        for obj, offset, child in children[mask0]:
-            # Every block below this child starts at or after child_min, and
-            # the later children start later still.
-            child_min = bmin + offset * s
-            if first is not None and child_min >= first[0]:
-                break
-            x[i], mask[i] = obj, child
-            move(agents, k + 1, code + (obj - x0) * p, child_min, depth)
-        x[i], mask[i] = x0, mask0
-
-    try:
-        # The roots: every agent moves from the empty prefix to their top choice.
-        move(range(n), 0, 0, 0, 0)
-    finally:
-        # visit and move refer to each other through their closures; unlinking
-        # them lets reference counting free the sweep, not the cycle collector.
-        visit = move = None
-    if first is not None:
-        raise first[1](*first[2])
-    return tuple(entries)
+            stack += kids
+    return None
 
 
 def tabulate_function(

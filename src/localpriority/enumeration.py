@@ -6,10 +6,11 @@ Forward consistency is enforced exactly during the depth-first search. Backward
 consistency over two-step connections is also propagated during the search
 (both a sound pruning rule and the source of required-agent lower bounds);
 the full path-global condition is then checked on every completed assignment.
-Implementability is propagated too: the prefix walk of `engine.tabulate` runs
-inside the search through the assigned cells, so a branch is cut as soon as
-some run exhausts on them, every leaf is implementable, and the walk has
-already filled the leaf's table, which keys the mechanism deduplication.
+Implementability is propagated too: `engine._walk`, the one prefix walk that
+`tabulate` also runs, steps its states inside the search through the assigned
+cells, so a branch is cut as soon as some run exhausts on them, every leaf is
+implementable, and the walk has already filled the leaf's table, which keys
+the mechanism deduplication.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .consistency import (
     is_backward_consistent,
     is_forward_consistent,
 )
-from .engine import NotImplementableError, tabulate
+from .engine import NotImplementableError, _walk, tabulate
 
 # Codes one search may hold in its move tables: every 4-agent instance within
 # the profile budget needs at most 256 * 255, a 5-agent one 243 * 242.
@@ -138,11 +139,8 @@ class _Search:
         self.constraint = constraint
         self.options = options
         inst = constraint.instance
-        self.cells: list[int] = constraint.infeasible_codes()
-        # Cell index by allocation code, -1 where the allocation is feasible.
-        self.index = [-1] * inst.num_allocations
-        for k, code in enumerate(self.cells):
-            self.index[code] = k
+        self.cells = constraint.infeasible_codes
+        self.index = constraint.cell_index
         self.n = inst.n
         self.full_mask = 2**inst.n - 1
         # One agent set per mask, shared by every emitted assignment.
@@ -162,7 +160,14 @@ class _Search:
         self._build_forward()
         if options.require_backward:
             self._build_backward_pairs()
-        self._build_walk()
+        # `_dfs` runs the states parked at each cell it assigns, and pops
+        # `parked_log` to undo their parks on backtrack; at a leaf, `table` is
+        # the leaf's mechanism. The roots park or fill before any assignment.
+        self.table = [0] * inst.num_profiles
+        self.parked: list[list[int]] = [[] for _ in self.cells]
+        self.parked_log: list[int] = []
+        _walk(inst, self.index, self.assigned, -1, list(inst.prefix_walk.roots),
+              self.table, self.parked, self.parked_log)
 
     def _build_moves(self) -> None:
         """moved[k][mask]: codes reachable from cell k by changing exactly the
@@ -239,82 +244,6 @@ class _Search:
                 sub = (sub - 1) & movers
         return True
 
-    def _build_walk(self) -> None:
-        """The prefix walk of `engine._walk`, restricted to the assigned cells,
-        as `self.walk(depth, stack)`: it runs the walk states on `stack`
-        through cells 0 to `depth`, which are assigned, with an explicit
-        stack, and returns False when a compromiser at an assigned cell has no
-        object left. That prune is sound: the run of every profile in the
-        state's block reads only assigned cells so far, so every completion of
-        the assignment exhausts on that block.
-
-        A walk state packs, from the least significant bit up, its allocation
-        code, its block's first profile index, the prefixes of every agent
-        (bit i*m + o, as `Instance.block` reads them) and its step count. So a
-        step adds ints: one step, and for each mover a packed
-        `Instance.prefix_steps` option less the place value of the mover's
-        old object. A state that reaches an unassigned cell waits ("parks") in
-        that cell's list until the walk at that cell's depth runs it on; one
-        that reaches a feasible allocation fills its block of `table`. The
-        roots park or fill here, before any cell is assigned."""
-        inst = self.constraint.instance
-        n, m, powers, block = inst.n, inst.m, inst.powers, inst.block
-        code_bits = (inst.num_allocations - 1).bit_length()
-        base_bits = (inst.num_profiles - 1).bit_length()
-        bits_shift = code_bits + base_bits
-        code_mask, base_mask = (1 << code_bits) - 1, (1 << base_bits) - 1
-        bits_mask = (1 << n * m) - 1
-        agent_shift = [bits_shift + i * m for i in range(n)]
-        full, step = (1 << m) - 1, 1 << bits_shift + n * m
-        step_cap = (n * (m - 1) + 1) * step
-        options_of = [
-            [
-                tuple(place + (offset << code_bits) + (bit << bits_shift)
-                      for place, offset, bit in kids)
-                for kids in per_mask
-            ]
-            for per_mask in inst.prefix_steps
-        ]
-        movers = [[i for i in range(n) if mask >> i & 1] for mask in range(self.full_mask + 1)]
-        index, assigned = self.index, self.assigned
-        table = self.table = [0] * inst.num_profiles
-        parked = self.parked = [[] for _ in self.cells]
-        # Cells whose parked lists grew, in order, so a backtrack can pop them.
-        parked_log = self.parked_log = []
-
-        def walk(depth: int, stack: list[int]) -> bool:
-            while stack:
-                state = stack.pop()
-                code = state & code_mask
-                k = index[code]
-                if k < 0:
-                    starts, span = block(state >> bits_shift & bits_mask)
-                    base = state >> code_bits & base_mask
-                    run = [code] * span
-                    for s in starts:
-                        table[base + s : base + s + span] = run
-                elif k > depth:
-                    parked[k].append(state)
-                    parked_log.append(k)
-                else:
-                    if state >= step_cap:
-                        raise AssertionError("rank descent bound violated")
-                    kids = [state + step]
-                    for i in movers[assigned[k]]:
-                        options = options_of[i][state >> agent_shift[i] & full]
-                        if not options:
-                            return False
-                        old = code // powers[i] % m * powers[i]
-                        kids = [kid - old + option for kid in kids for option in options]
-                    stack += kids
-            return True
-
-        self.walk = walk
-        roots = [0]
-        for per_mask in options_of:
-            roots = [state + option for state in roots for option in per_mask[0]]
-        walk(-1, roots)
-
     def _emit(self) -> None:
         sets = self.agent_sets
         alpha = CompromiserAssignment(
@@ -342,7 +271,8 @@ class _Search:
         assigned = self.assigned
         required = self.required
         forward = self.forward[depth]
-        parked, parked_log, walk = self.parked, self.parked_log, self.walk
+        inst, index, table = self.constraint.instance, self.index, self.table
+        parked, parked_log = self.parked, self.parked_log
         for mask in range(1, self.full_mask + 1):
             self.nodes += 1
             if self.nodes > self.options.budget:
@@ -371,7 +301,8 @@ class _Search:
                     ok = self._apply_backward(depth, undo)
             mark = len(parked_log)
             if ok:
-                ok = walk(depth, parked[depth][:])
+                ok = _walk(inst, index, assigned, depth, parked[depth][:], table,
+                           parked, parked_log) is None
             if ok:
                 if not self._dfs(depth + 1):
                     return False
@@ -432,7 +363,7 @@ def _quotient(result: EnumerationResult) -> list[tuple[CompromiserAssignment, in
         (tuple(map(_permutation(inst, aperm, operm), codes)), _mask_map(inst.n, aperm))
         for aperm, operm in constraint_symmetries(constraint)
     ]
-    cells = constraint.infeasible_codes()
+    cells = constraint.infeasible_codes
     key_of: dict[tuple[int, ...], int] = {}
     for k, alpha in enumerate(result.assignments):
         key = tuple(sum(1 << i for i in alpha.cells[c]) for c in cells)
@@ -465,7 +396,7 @@ def brute_force_consistent(
     completeness oracle for the pruned enumeration."""
     options = options or EnumerationOptions()
     inst = constraint.instance
-    cells = constraint.infeasible_codes()
+    cells = constraint.infeasible_codes
     if (2**inst.n - 1) ** len(cells) > options.budget:
         raise ValueError("brute force space exceeds budget")
     subsets = [

@@ -70,7 +70,7 @@ def test_forward_violation_when_pair_reaches_feasible(inst3):
 
 
 def test_singleton_cells_are_forward_consistent(inst3, house3):
-    alpha = make_alpha(house3, {c: {0} for c in house3.infeasible_codes()})
+    alpha = make_alpha(house3, {c: {0} for c in house3.infeasible_codes})
     assert is_forward_consistent(alpha).holds
 
 

@@ -207,23 +207,35 @@ def test_positions_and_strides_match_the_definitions(n, m):
                 assert profile_index(inst, q) == i + stride
 
 
+def _fields(plan, state):
+    """A packed walk state as (code, block start, prefix bits, steps)."""
+    return (
+        state & plan.code_mask,
+        state >> plan.base_shift & plan.base_mask,
+        state >> plan.bits_shift & plan.bits_mask,
+        state // plan.step,
+    )
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_prefix_children_give_contiguous_rank_ranges(m):
+    # One agent: from the root, every packed option steps to a prefix one
+    # object longer, whose rankings are one contiguous rank range.
     inst = _instance(1, m)
+    plan = inst.prefix_walk
     prefs = inst.all_preferences()
-    assert inst.factorials == tuple(math.factorial(k) for k in range(m + 1))
-    stack = [((), 0, 0)]
+    stack = [((), 0)]
     seen = 0
     while stack:
-        prefix, mask, lo = stack.pop()
-        span = inst.factorials[m - len(prefix)]
+        prefix, state = stack.pop()
+        _, lo, bits, steps = _fields(plan, state)
         ranks = [r for r, pref in enumerate(prefs) if pref[: len(prefix)] == prefix]
-        assert ranks == list(range(lo, lo + span))
-        assert mask == sum(1 << obj for obj in prefix)
-        kids = inst.prefix_children[mask]
-        assert [obj for obj, _, _ in kids] == [o for o in range(m) if o not in prefix]
-        for obj, offset, child in kids:
-            stack.append((prefix + (obj,), child, lo + offset))
+        assert ranks == list(range(lo, lo + math.factorial(m - len(prefix))))
+        assert (bits, steps) == (sum(1 << obj for obj in prefix), 0)
+        for option in plan.prefix_options[0][bits]:
+            # The one agent's place value is 1, so the code is their object.
+            obj = option & plan.code_mask
+            stack.append((prefix + (obj,), state - (state & plan.code_mask) + option))
         seen += 1
     assert seen == sum(math.perm(m, k) for k in range(m + 1))
 
@@ -231,12 +243,42 @@ def test_prefix_children_give_contiguous_rank_ranges(m):
 @pytest.mark.parametrize("n,m", ENCODING_SHAPES)
 def test_prefix_steps_and_blocks_match_the_definitions(n, m):
     inst = _instance(n, m)
-    for i, (place, stride) in enumerate(zip(inst.powers, inst.strides)):
-        for mask, kids in enumerate(inst.prefix_children):
-            assert inst.prefix_steps[i][mask] == tuple(
-                (obj * place, offset * stride, 1 << (i * m + obj)) for obj, offset, _ in kids
-            )
+    plan = inst.prefix_walk
     profiles = list(inst.all_profiles())
+    assert inst.factorials == tuple(math.factorial(k) for k in range(m + 1))
+    assert plan.code_mask >= inst.num_allocations - 1
+    assert plan.base_mask >= inst.num_profiles - 1
+    assert plan.base_shift == plan.code_mask.bit_length()
+    assert plan.bits_shift == plan.base_shift + plan.base_mask.bit_length()
+    assert plan.step == 1 << plan.bits_shift + n * m
+    assert plan.step_cap == (n * (m - 1) + 1) * plan.step
+    assert plan.full == (1 << m) - 1
+    for i in range(n):
+        assert plan.shifts[i] == plan.bits_shift + i * m
+        for mask in range(1 << m):
+            options = plan.prefix_options[i][mask]
+            fields = [_fields(plan, option) for option in options]
+            objects = [code // inst.powers[i] for code, _, _, _ in fields]
+            # Every object not in the prefix, highest first.
+            assert objects == [obj for obj in reversed(range(m)) if not mask >> obj & 1]
+            for obj, (code, offset, bits, steps) in zip(objects, fields):
+                assert (code, bits, steps) == (obj * inst.powers[i], 1 << i * m + obj, 0)
+            # The offsets hold for every order of the prefix's objects.
+            for prefix in itertools.permutations([obj for obj in range(m) if mask >> obj & 1]):
+                parent = [k for k, p in enumerate(profiles) if p[i][: len(prefix)] == prefix]
+                for obj, (_, offset, _, _) in zip(objects, fields):
+                    child = [k for k in parent if profiles[k][i][len(prefix)] == obj]
+                    assert child[0] - parent[0] == offset
+    roots = [_fields(plan, root) for root in plan.roots]
+    assert [base for _, base, _, _ in roots] == sorted({base for _, base, _, _ in roots}, reverse=True)
+    assert len(roots) == inst.num_allocations
+    for code, base, bits, steps in roots:
+        tops = inst.decode(code)
+        assert base == min(k for k, p in enumerate(profiles) if tau(p, 1) == tops)
+        assert (bits, steps) == (sum(1 << i * m + obj for i, obj in enumerate(tops)), 0)
+    for mask, movers in enumerate(plan.movers):
+        assert movers == tuple(i for i in range(n) if mask >> i & 1)
+        assert plan.mask_of[frozenset(movers)] == mask
     rng = random.Random(10 * n + m)
     for _ in range(25):
         prefixes = [tuple(rng.sample(range(m), rng.randint(0, m))) for _ in range(n)]
@@ -275,7 +317,7 @@ def test_cached_tables_leave_equality_and_hashing_alone():
     used, fresh = _instance(3, 2), _instance(3, 2)
     for attr in ("n", "m", "num_allocations", "num_profiles", "powers",
                  "preference_rank", "positions", "strides", "decode_table",
-                 "factorials", "prefix_children", "prefix_steps", "_blocks",
+                 "factorials", "prefix_walk", "_blocks",
                  "_moves", "_steps", "_parts", "_part_sets", "weakly_better"):
         getattr(used, attr)
     used.all_preferences()
@@ -308,6 +350,14 @@ def test_feasible_assignments_in_code_order(house3):
     assert house3.feasible_assignments == tuple(
         inst.decode(c) for c in sorted(house3.feasible)
     )
+    fresh = Constraint(inst, house3.feasible, house3.generator)
+    infeasible = [c for c in range(inst.num_allocations) if c not in house3.feasible]
+    assert house3.infeasible_codes == tuple(infeasible)
+    assert house3.infeasible_codes is house3.infeasible_codes
+    assert house3.cell_index == tuple(
+        infeasible.index(c) if c in infeasible else -1 for c in range(inst.num_allocations)
+    )
+    assert house3 == fresh and hash(house3) == hash(fresh)
 
 
 def test_school_generator_soundness(inst3):
@@ -374,7 +424,7 @@ def test_constraint_nonempty():
 
 def test_alpha_validation(inst3, house3):
     feasible_code = next(iter(house3.feasible))
-    infeasible = house3.infeasible_codes()
+    infeasible = house3.infeasible_codes
     good = {code: {0} for code in infeasible}
     make_alpha(house3, good)
     with pytest.raises(MalformedAssignmentError):

@@ -81,7 +81,7 @@ def test_social_two_by_two_contains_dictatorships():
     constraint = social_constraint(inst)
     result = enumerate_consistent(constraint, EnumerationOptions())
     keys = _keys(result.assignments)
-    cells = constraint.infeasible_codes()
+    cells = constraint.infeasible_codes
     dictator_one = tuple(sorted((c, (0,)) for c in cells))
     dictator_two = tuple(sorted((c, (1,)) for c in cells))
     assert dictator_one in keys
@@ -115,7 +115,7 @@ def test_oversized_move_tables_are_refused_before_any_is_built():
 
 def test_search_deeper_than_the_recursion_limit_is_refused(house3):
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(house3.infeasible_codes()) + LEAF_STACK_DEPTH - 1)
+    sys.setrecursionlimit(len(house3.infeasible_codes) + LEAF_STACK_DEPTH - 1)
     try:
         with pytest.raises(ScaleLimitError, match="recursion limit"):
             enumerate_consistent(house3, EnumerationOptions(budget=50))

@@ -15,7 +15,7 @@ from collections import deque
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from localpriority.axioms import (
     Verdict,
@@ -665,7 +665,8 @@ def _draw_assignment(draw, inst):
     codes = range(inst.num_allocations)
     feasible = draw(st.sets(st.sampled_from(codes), min_size=1))
     cells = {
-        c: draw(st.sets(st.sampled_from((0, 1)), min_size=1)) for c in codes if c not in feasible
+        c: draw(st.sets(st.sampled_from(range(inst.n)), min_size=1))
+        for c in codes if c not in feasible
     }
     return make_alpha(Constraint(inst, frozenset(feasible)), cells)
 
@@ -680,13 +681,29 @@ def two_agent_assignments(draw):
 
 
 @st.composite
+def small_assignments(draw):
+    """Two agents with two or three objects, or three agents with two."""
+    if draw(st.booleans()):
+        return _draw_assignment(draw, Instance(("1", "2", "3"), ("a", "b")))
+    return _draw_assignment(draw, _two_agent_instance(draw))
+
+
+@st.composite
 def two_agent_pairs(draw):
     inst = _two_agent_instance(draw)
     return _draw_assignment(draw, inst), _draw_assignment(draw, inst)
 
 
-@given(two_agent_assignments())
-@settings(max_examples=80, deadline=None)
+def _first_failure_found_is_not_the_lowest():
+    # The walk meets an exhaustion at profile 6 before the first one, at 2.
+    inst = Instance(("1", "2"), ("a", "b", "c"))
+    cells = {code: {0} for code in (0, 3, 4, 5, 6, 7, 8)}
+    return make_alpha(Constraint(inst, frozenset({1})), {**cells, 2: {1}})
+
+
+@given(small_assignments())
+@example(_first_failure_found_is_not_the_lowest())
+@settings(max_examples=120, deadline=None)
 def test_tabulate_matches_run_lp_loop_on_generated_assignments(alpha):
     _tabulate_agrees(alpha)
 
@@ -721,8 +738,8 @@ def test_outcome_codes_match_run_lp_loop(n, m):
         assert any(exhausting)
 
 
-@given(two_agent_assignments())
-@settings(max_examples=80, deadline=None)
+@given(small_assignments())
+@settings(max_examples=120, deadline=None)
 def test_outcome_codes_match_run_lp_loop_on_generated_assignments(alpha):
     _outcome_codes_agree(alpha)
 

@@ -34,7 +34,7 @@ def test_render_is_pure(da_spec):
 
 def test_constraint_render_marks_infeasible_without_labels(house3):
     doc = render(house3)
-    assert doc.count("[]") == len(house3.infeasible_codes())
+    assert doc.count("[]") == len(house3.infeasible_codes)
 
 
 def test_two_agent_render_single_grid(nonunique_alphas):
@@ -52,7 +52,7 @@ def test_four_agent_render(inst3):
         code for code in range(16) if len(set(inst.decode(code))) == 2
     )
     constraint = Constraint(inst, feasible, ("explicit",))
-    alpha = make_alpha(constraint, {c: {0} for c in constraint.infeasible_codes()})
+    alpha = make_alpha(constraint, {c: {0} for c in constraint.infeasible_codes})
     doc = render(alpha)
     assert "3=a 4=a" in doc and "3=b 4=b" in doc
     assert doc == (GOLDENS / "four_agent.txt").read_text()

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import localpriority
+from localpriority.core import PrefixWalk
 
 PACKAGE = Path(localpriority.__file__).parent
 
@@ -186,11 +187,36 @@ def test_only_the_completeness_oracle_tabulates_in_enumeration():
     assert callers == ["brute_force_consistent"], f"tabulate called in {callers}"
 
 
+def test_one_function_steps_the_packed_prefix_walk():
+    # engine._walk is the one prefix walk: tabulate, outcome_codes and the
+    # enumeration search all run it, so it is the one function that reads the
+    # packed prefix options, and the search only hands it the roots.
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if any(
+                isinstance(node, ast.Attribute) and node.attr == "prefix_options"
+                for node in ast.walk(top)
+            ):
+                readers.append(f"{path.name}:{top.name}")
+    assert readers == ["engine.py:_walk"], f"packed prefix options read in {readers}"
+    tree = ast.parse((PACKAGE / "enumeration.py").read_text())
+    walks = [
+        node.name for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and "walk" in node.name
+    ]
+    assert not walks, f"enumeration.py defines {walks}"
+    fields = set(PrefixWalk._fields) | {"block"}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} & fields
+    assert read <= {"roots"}, f"enumeration.py reads walk constants {sorted(read)}"
+
+
 def test_block_arithmetic_lives_in_core():
     # A block of profiles is the product of its agents' rank ranges, each of
     # (m - prefix length)! ranks. Instance.block builds that product and
-    # Instance.prefix_steps the offsets of child blocks, so the two prefix
-    # walks read neither the factorials nor a prefix's length.
+    # Instance.prefix_walk the offsets of child blocks, so the one prefix
+    # walk and the search that runs it read neither the factorials nor a
+    # prefix's length.
     found = []
     for name in ("engine.py", "enumeration.py"):
         tree = ast.parse((PACKAGE / name).read_text())
