@@ -137,7 +137,7 @@ def _coalition_sweep(f: MechanismTable, sizes: Iterable[int], name: str) -> Verd
                 tuple((i, strides[i], objs) for i, objs in zip(c, sets)),
                 [sum(r * strides[i] for i, r in zip(c, rs))
                  for rs in itertools.product(range(k), repeat=size)],
-                inst.parts(sum(1 << i for i in c)),
+                inst.parts(inst.mask_of[frozenset(c)]),
                 {},
             )
             for c in itertools.combinations(range(inst.n), size)

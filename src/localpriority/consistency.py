@@ -60,7 +60,7 @@ def is_forward_consistent(alpha: CompromiserAssignment) -> Verdict:
                         "y": inst.decode(y_code),
                         "alpha_x": tuple(sorted(alpha.cells[x_code])),
                         "alpha_y": tuple(sorted(alpha.cell(y_code))),
-                        "missing": tuple(i for i in range(inst.n) if missing >> i & 1),
+                        "missing": inst.members[missing],
                     },
                 )
     return Verdict("forward_consistent", True)
@@ -69,9 +69,10 @@ def is_forward_consistent(alpha: CompromiserAssignment) -> Verdict:
 def _masks(alpha: CompromiserAssignment) -> list[int]:
     """Each allocation's cell as a bitmask of agents, by code; 0 where the
     allocation is feasible."""
-    masks = [0] * alpha.instance.num_allocations
+    inst = alpha.instance
+    masks = [0] * inst.num_allocations
     for code, cell in alpha.cells.items():
-        masks[code] = sum(1 << i for i in cell)
+        masks[code] = inst.mask_of[cell]
     return masks
 
 
@@ -395,8 +396,7 @@ def _all_cell_choices(
     inst = constraint.instance
     cells = constraint.infeasible_codes
     by_size: dict[int, list[frozenset[int]]] = {}
-    for mask in range(1, 2**inst.n):
-        agents = frozenset(i for i in range(inst.n) if (mask >> i) & 1)
+    for agents in inst.agent_sets[1:]:
         by_size.setdefault(len(agents), []).append(agents)
     sizes = sorted(by_size)
 

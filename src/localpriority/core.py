@@ -64,10 +64,6 @@ class PrefixWalk(NamedTuple):
     prefix_options: tuple[tuple[tuple[int, ...], ...], ...]
     # One state per top-choice vector, with no step taken.
     roots: tuple[int, ...]
-    # movers[mask]: the agents in the mask, ascending; mask_of inverts it on
-    # agent sets.
-    movers: tuple[tuple[int, ...], ...]
-    mask_of: dict[frozenset[int], int]
 
 
 @dataclass(frozen=True)
@@ -144,6 +140,23 @@ class Instance:
         return tuple(math.factorial(k) for k in range(self.m + 1))
 
     @cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """members[mask]: the agents in the mask (bit i for agent i), ascending.
+        With `agent_sets` and `mask_of`, the one conversion between masks and
+        agent sets."""
+        return tuple(tuple(i for i in range(self.n) if mask >> i & 1) for mask in range(1 << self.n))
+
+    @cached_property
+    def agent_sets(self) -> tuple[frozenset[int], ...]:
+        """agent_sets[mask]: the agents in the mask as a frozenset, a cell's type."""
+        return tuple(map(frozenset, self.members))
+
+    @cached_property
+    def mask_of(self) -> dict[frozenset[int], int]:
+        """The mask of each agent set; inverts `agent_sets`."""
+        return {agents: mask for mask, agents in enumerate(self.agent_sets)}
+
+    @cached_property
     def prefix_walk(self) -> PrefixWalk:
         """The packing constants of `engine._walk` on this instance."""
         n, m, fact = self.n, self.m, self.factorials
@@ -168,7 +181,6 @@ class Instance:
         roots = [0]
         for per_mask in options:
             roots = [state + option for state in roots for option in per_mask[0]]
-        movers = tuple(tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n))
         return PrefixWalk(
             code_mask=(1 << code_bits) - 1,
             base_shift=code_bits,
@@ -181,8 +193,6 @@ class Instance:
             step_cap=(n * (m - 1) + 1) * step,
             prefix_options=tuple(options),
             roots=tuple(roots),
-            movers=movers,
-            mask_of={frozenset(agents): mask for mask, agents in enumerate(movers)},
         )
 
     @cached_property
@@ -248,8 +258,7 @@ class Instance:
         key = code << self.n | mask
         found = self._steps.get(key)
         if found is None:
-            m, powers = self.m, self.powers
-            agents = [i for i in range(self.n) if mask >> i & 1]
+            m, powers, agents = self.m, self.powers, self.members[mask]
             out = []
             for size in range(1, len(agents) + 1):
                 for subset in itertools.combinations(agents, size):
@@ -280,7 +289,7 @@ class Instance:
         objects as a base-m number, lowest agent least significant."""
         found = self._parts.get(mask)
         if found is None:
-            members = [i for i in range(self.n) if mask >> i & 1]
+            members = self.members[mask]
             places = [self.m**j for j in range(len(members))]
             found = self._parts[mask] = tuple(
                 sum(a[i] * place for i, place in zip(members, places)) for a in self.decode_table
@@ -510,7 +519,7 @@ def two_sided_constraint(
 
 @dataclass(frozen=True)
 class CompromiserAssignment:
-    """Map from every infeasible allocation code to a nonempty set of agents.
+    """Map from every infeasible allocation code to a nonempty frozenset of agents.
 
     Feasible allocations implicitly map to the empty set.
     """
@@ -532,6 +541,9 @@ class CompromiserAssignment:
                 raise MalformedAssignmentError(
                     f"empty cell at {inst.assignment_names(inst.decode(code))}"
                 )
+            if not isinstance(agents, frozenset):
+                names, kind = inst.assignment_names(inst.decode(code)), type(agents).__name__
+                raise MalformedAssignmentError(f"cell at {names} is a {kind}, not a frozenset")
             if any(not 0 <= i < inst.n for i in agents):
                 raise MalformedAssignmentError(f"invalid agent index in cell {code}")
         for code in range(inst.num_allocations):

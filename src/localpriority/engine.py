@@ -164,7 +164,7 @@ class MechanismTable:
                 tc += tops[r] * powers[i]
                 missed |= (x[i] != tops[r]) << i
             masks[tc] &= missed
-        return tuple(frozenset(i for i in range(n) if mask >> i & 1) for mask in masks)
+        return tuple(inst.agent_sets[mask] for mask in masks)
 
 
 EXHAUSTED = -1  # the outcome code of a profile whose run exhausts
@@ -197,7 +197,7 @@ def _sweep(alpha: CompromiserAssignment, partial: bool) -> tuple[int, ...]:
     inst.check_profile_budget()
     plan, constraint, cells = inst.prefix_walk, alpha.constraint, alpha.cells
     index = constraint.cell_index
-    masks = [plan.mask_of.get(cells.get(code), 0) for code in constraint.infeasible_codes]
+    masks = [inst.mask_of.get(cells.get(code), 0) for code in constraint.infeasible_codes]
     code_mask, base_shift, base_mask = plan.code_mask, plan.base_shift, plan.base_mask
     table = [0] * inst.num_profiles
     stack = list(plan.roots)
@@ -222,7 +222,7 @@ def _sweep(alpha: CompromiserAssignment, partial: bool) -> tuple[int, ...]:
     if not mask:
         x = inst.assignment_names(inst.decode(code))
         raise MalformedAssignmentError(f"missing or empty cell at infeasible {x}")
-    tired = [i for i in plan.movers[mask] if first >> plan.shifts[i] & plan.full == plan.full]
+    tired = [i for i in inst.members[mask] if first >> plan.shifts[i] & plan.full == plan.full]
     raise NotImplementableError(inst.profile_at(lowest), tired[0], first // plan.step + 1)
 
 
@@ -246,8 +246,8 @@ def _walk(inst: Instance, index: Sequence[int], masks: Sequence[int], depth: int
     plan = inst.prefix_walk
     code_mask, base_shift, base_mask = plan.code_mask, plan.base_shift, plan.base_mask
     bits_shift, bits_mask, shifts, full = plan.bits_shift, plan.bits_mask, plan.shifts, plan.full
-    step, step_cap, options_of, movers = plan.step, plan.step_cap, plan.prefix_options, plan.movers
-    block, powers, m = inst.block, inst.powers, inst.m
+    step, step_cap, options_of = plan.step, plan.step_cap, plan.prefix_options
+    block, powers, m, movers = inst.block, inst.powers, inst.m, inst.members
     while stack:
         state = stack.pop()
         code = state & code_mask

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from .core import CompromiserAssignment, Constraint, Instance, ScaleLimitError
 from .consistency import (
     Reading,
+    _backward_failure,
     _check_reading,
     _moved_codes,
     is_backward_consistent,
@@ -29,8 +30,9 @@ from .consistency import (
 )
 from .engine import NotImplementableError, _walk, tabulate
 
-# Codes one search may hold in its move tables: every 4-agent instance within
-# the profile budget needs at most 256 * 255, a 5-agent one 243 * 242.
+# Codes `_build_forward` may leave in `Instance.moves`' memo, |cells| * (m^n - 1):
+# every 4-agent instance within the profile budget needs at most 256 * 255, a
+# 5-agent one 243 * 242.
 MAX_MOVE_CODES = 100_000
 # Stack frames kept free below the deepest `_dfs` call for the leaf checks.
 LEAF_STACK_DEPTH = 200
@@ -80,17 +82,6 @@ def _permutation(inst: Instance, aperm: tuple[int, ...], operm: tuple[int, ...])
         return out
 
     return image
-
-
-def _mask_map(n: int, aperm: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for mask in range(2**n):
-        new = 0
-        for i in range(n):
-            if (mask >> i) & 1:
-                new |= 1 << aperm[i]
-        out.append(new)
-    return tuple(out)
 
 
 @dataclass
@@ -143,12 +134,10 @@ class _Search:
         self.index = constraint.cell_index
         self.n = inst.n
         self.full_mask = 2**inst.n - 1
-        # One agent set per mask, shared by every emitted assignment.
-        self.agent_sets = [
-            frozenset(i for i in range(inst.n) if mask >> i & 1)
-            for mask in range(self.full_mask + 1)
-        ]
+        # Each cell's mask by cell, and the same masks by code (0 where the
+        # allocation is feasible or its cell is unassigned) for the leaf check.
         self.assigned = [0] * len(self.cells)
+        self.masks = [0] * inst.num_allocations
         self.required = [0] * len(self.cells)
         self.nodes = 0
         self.pruned = 0
@@ -156,7 +145,6 @@ class _Search:
         self.groups: dict[tuple[int, ...], list[int]] | None = (
             {} if options.dedupe_by_mechanism else None
         )
-        self._build_moves()
         self._build_forward()
         if options.require_backward:
             self._build_backward_pairs()
@@ -168,19 +156,6 @@ class _Search:
         self.parked_log: list[int] = []
         _walk(inst, self.index, self.assigned, -1, list(inst.prefix_walk.roots),
               self.table, self.parked, self.parked_log)
-
-    def _build_moves(self) -> None:
-        """moved[k][mask]: codes reachable from cell k by changing exactly the
-        agents in mask to different objects (split feasible/infeasible)."""
-        inst, feasible = self.constraint.instance, self.constraint.feasible
-        self.moved_infeasible: list[list[tuple[int, ...]]] = []
-        self.moved_any_feasible: list[list[bool]] = []
-        for code in self.cells:
-            moved = [inst.moves(code, mask) for mask in range(self.full_mask + 1)]
-            self.moved_infeasible.append(
-                [tuple(sorted(y for y in ys if y not in feasible)) for ys in moved]
-            )
-            self.moved_any_feasible.append([not feasible.isdisjoint(ys) for ys in moved])
 
     def _build_forward(self) -> None:
         """Per (cell, mask): None when some proper-subset move reaches a
@@ -205,16 +180,17 @@ class _Search:
 
     def _build_backward_pairs(self) -> None:
         """Ordered cell pairs one coordinate apart, (x cell, y cell, agent),
-        filed under the later of the two cells. They are the one-agent moves
-        of the move tables."""
+        filed under the later of the two cells: the one-agent moves from each
+        cell that reach another."""
         self.backward_pairs_at: list[list[tuple[int, int, int]]] = [
             [] for _ in self.cells
         ]
-        for k, per_mask in enumerate(self.moved_infeasible):
+        for k, code in enumerate(self.cells):
             for i in range(self.n):
-                for y_code in per_mask[1 << i]:
+                for y_code in self.constraint.instance.moves(code, 1 << i):
                     j = self.index[y_code]
-                    self.backward_pairs_at[max(k, j)].append((k, j, i))
+                    if j >= 0:
+                        self.backward_pairs_at[max(k, j)].append((k, j, i))
 
     def _apply_backward(
         self, depth: int, undo: list[tuple[int, int]]
@@ -222,38 +198,45 @@ class _Search:
         """Two-step backward-consistency rules whose (x, y) pair completed at
         this depth: x one move (by agent i) from y, i compromising at x, means
         i must still compromise at every x' reached from x by the other
-        compromisers of y. Returns False to prune."""
+        compromisers of y. A feasible x' prunes under the strict reading and
+        is passed over under the relaxed one. Returns False to prune; the
+        caller undoes the `required` bits set before a prune."""
         strict = self.options.reading == "strict"
+        moves, cells, index = self.constraint.instance.moves, self.cells, self.index
+        assigned, required = self.assigned, self.required
         for xk, yk, agent in self.backward_pairs_at[depth]:
-            if not (self.assigned[xk] >> agent) & 1:
+            if not (assigned[xk] >> agent) & 1:
                 continue
-            movers = self.assigned[yk] & ~(1 << agent)
+            movers = assigned[yk] & ~(1 << agent)
             bit = 1 << agent
             sub = movers
             while sub:
-                if strict and self.moved_any_feasible[xk][sub]:
-                    return False
-                for xp_code in self.moved_infeasible[xk][sub]:
-                    j = self.index[xp_code]
-                    if j <= depth:
-                        if not (self.assigned[j] >> agent) & 1:
+                for xp_code in moves(cells[xk], sub):
+                    j = index[xp_code]
+                    if j < 0:
+                        if strict:
                             return False
-                    elif not (self.required[j] >> agent) & 1:
-                        undo.append((j, self.required[j]))
-                        self.required[j] |= bit
+                    elif j <= depth:
+                        if not (assigned[j] >> agent) & 1:
+                            return False
+                    elif not (required[j] >> agent) & 1:
+                        undo.append((j, required[j]))
+                        required[j] |= bit
                 sub = (sub - 1) & movers
         return True
 
     def _emit(self) -> None:
-        sets = self.agent_sets
+        """Check the leaf on the search's own masks; build its assignment only if it passes."""
+        inst = self.constraint.instance
+        if self.options.require_backward:
+            if _backward_failure(inst, self.masks, self.options.reading == "strict") is not None:
+                self.pruned += 1
+                return
+        sets = inst.agent_sets
         alpha = CompromiserAssignment(
             self.constraint,
             {code: sets[mask] for code, mask in zip(self.cells, self.assigned)},
         )
-        if self.options.require_backward:
-            if not is_backward_consistent(alpha, self.options.reading).holds:
-                self.pruned += 1
-                return
         if self.groups is not None:
             self.groups.setdefault(tuple(self.table), []).append(len(self.found))
         self.found.append(alpha)
@@ -268,7 +251,7 @@ class _Search:
         if depth == len(self.cells):
             self._emit()
             return True
-        assigned = self.assigned
+        assigned, masks, code = self.assigned, self.masks, self.cells[depth]
         required = self.required
         forward = self.forward[depth]
         inst, index, table = self.constraint.instance, self.index, self.table
@@ -296,7 +279,7 @@ class _Search:
                         undo.append((j, required[j]))
                         required[j] |= req
             if ok:
-                assigned[depth] = mask
+                assigned[depth] = masks[code] = mask
                 if self.options.require_backward:
                     ok = self._apply_backward(depth, undo)
             mark = len(parked_log)
@@ -312,7 +295,7 @@ class _Search:
                 required[j] = old
             while len(parked_log) > mark:
                 parked[parked_log.pop()].pop()
-        assigned[depth] = 0
+        assigned[depth] = masks[code] = 0
         return True
 
 
@@ -327,9 +310,9 @@ def enumerate_consistent(
     one the walk filled."""
     options = options or EnumerationOptions()
     # The walk fills one table of num_profiles entries under the profile
-    # budget, the move tables hold |cells| * (m^n - 1) codes, and `_dfs`
-    # recurses once per cell: an instance too large for any of them is refused
-    # before a table is built.
+    # budget, the moves from every cell fill `Instance.moves`' memo with
+    # |cells| * (m^n - 1) codes, and `_dfs` recurses once per cell: an
+    # instance too large for any of them is refused before a table is built.
     inst = constraint.instance
     inst.check_profile_budget()
     cells = inst.num_allocations - len(constraint.feasible)
@@ -358,16 +341,18 @@ def _quotient(result: EnumerationResult) -> list[tuple[CompromiserAssignment, in
     are minimal under the canonical cell-mask encoding."""
     constraint = result.constraint
     inst = constraint.instance
-    codes = range(inst.num_allocations)
+    codes, mask_of = range(inst.num_allocations), inst.mask_of
     actions = [
-        (tuple(map(_permutation(inst, aperm, operm), codes)), _mask_map(inst.n, aperm))
+        (
+            tuple(map(_permutation(inst, aperm, operm), codes)),
+            [mask_of[frozenset(aperm[i] for i in agents)] for agents in inst.members],
+        )
         for aperm, operm in constraint_symmetries(constraint)
     ]
     cells = constraint.infeasible_codes
     key_of: dict[tuple[int, ...], int] = {}
     for k, alpha in enumerate(result.assignments):
-        key = tuple(sum(1 << i for i in alpha.cells[c]) for c in cells)
-        key_of[key] = k
+        key_of[tuple(mask_of[alpha.cells[c]] for c in cells)] = k
 
     reps: list[tuple[CompromiserAssignment, int]] = []
     claimed: set[tuple[int, ...]] = set()
@@ -399,12 +384,8 @@ def brute_force_consistent(
     cells = constraint.infeasible_codes
     if (2**inst.n - 1) ** len(cells) > options.budget:
         raise ValueError("brute force space exceeds budget")
-    subsets = [
-        frozenset(i for i in range(inst.n) if (mask >> i) & 1)
-        for mask in range(1, 2**inst.n)
-    ]
     out = []
-    for combo in itertools.product(subsets, repeat=len(cells)):
+    for combo in itertools.product(inst.agent_sets[1:], repeat=len(cells)):
         alpha = CompromiserAssignment(constraint, dict(zip(cells, combo)))
         if options.require_forward and not is_forward_consistent(alpha).holds:
             continue

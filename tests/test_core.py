@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localpriority.core import (
+    CompromiserAssignment,
     Constraint,
     Instance,
     MalformedAssignmentError,
@@ -23,6 +24,7 @@ from localpriority.core import (
     tau,
     two_sided_constraint,
 )
+from localpriority.engine import run_lp, tabulate
 from localpriority.fileio import dump_constraint, dumps, load_constraint
 
 from conftest import A, B, C
@@ -276,9 +278,11 @@ def test_prefix_steps_and_blocks_match_the_definitions(n, m):
         tops = inst.decode(code)
         assert base == min(k for k, p in enumerate(profiles) if tau(p, 1) == tops)
         assert (bits, steps) == (sum(1 << i * m + obj for i, obj in enumerate(tops)), 0)
-    for mask, movers in enumerate(plan.movers):
-        assert movers == tuple(i for i in range(n) if mask >> i & 1)
-        assert plan.mask_of[frozenset(movers)] == mask
+    assert len(inst.members) == len(inst.agent_sets) == len(inst.mask_of) == 1 << n
+    for mask, (members, agents) in enumerate(zip(inst.members, inst.agent_sets)):
+        assert members == tuple(i for i in range(n) if mask >> i & 1)
+        assert agents == frozenset(members)
+        assert inst.mask_of[agents] == mask == sum(1 << i for i in agents)
     rng = random.Random(10 * n + m)
     for _ in range(25):
         prefixes = [tuple(rng.sample(range(m), rng.randint(0, m))) for _ in range(n)]
@@ -317,8 +321,8 @@ def test_cached_tables_leave_equality_and_hashing_alone():
     used, fresh = _instance(3, 2), _instance(3, 2)
     for attr in ("n", "m", "num_allocations", "num_profiles", "powers",
                  "preference_rank", "positions", "strides", "decode_table",
-                 "factorials", "prefix_walk", "_blocks",
-                 "_moves", "_steps", "_parts", "_part_sets", "weakly_better"):
+                 "factorials", "members", "agent_sets", "mask_of", "prefix_walk",
+                 "_blocks", "_moves", "_steps", "_parts", "_part_sets", "weakly_better"):
         getattr(used, attr)
     used.all_preferences()
     used.block(0b100011)
@@ -435,6 +439,20 @@ def test_alpha_validation(inst3, house3):
     del missing[infeasible[0]]
     with pytest.raises(MalformedAssignmentError):
         make_alpha(house3, missing)
+
+
+@pytest.mark.parametrize("kind", [tuple, list, set])
+def test_alpha_cells_must_be_frozensets(kind):
+    # Cells are looked up by frozenset, so a cell of another type is refused
+    # where the assignment is built, naming the allocation.
+    pair = Instance(("1", "2"), ("a", "b"))
+    constraint = Constraint(pair, frozenset({1, 2}))
+    with pytest.raises(MalformedAssignmentError, match=r"cell at \('a', 'a'\) is a"):
+        CompromiserAssignment(constraint, {0: kind((0,)), 3: frozenset({1})})
+    alpha = CompromiserAssignment(constraint, {0: frozenset({0}), 3: frozenset({1})})
+    assert tabulate(alpha).table == tuple(
+        pair.encode(run_lp(alpha, profile).assignment) for profile in pair.all_profiles()
+    )
 
 
 def test_alpha_union_and_subset(nonunique_alphas):

@@ -30,6 +30,7 @@ from localpriority.axioms import (
     is_strategy_proof,
 )
 from localpriority.consistency import (
+    _backward_failure,
     _first_paths,
     _masks,
     _moved_codes,
@@ -1010,25 +1011,34 @@ def test_consistency_matches_reference_loops_on_generated_assignments(alpha):
 
 
 def test_backward_matches_reference_on_the_house_search_leaves(monkeypatch):
-    # Every assignment the house n=3 search checks at a leaf, with the verdict
-    # the search got: strict on all of them, relaxed on every third. The
+    # Every leaf the house n=3 search checks, rebuilt from the cell masks the
+    # search hands its leaf check, with the outcome the search got. The full
+    # verdict is compared strict on every leaf, relaxed on every third. The
     # search reaches only implementable leaves, so the leaves that fail the
     # check are the same 738 as when every leaf was tabulated after it.
     leaves = []
 
-    def record(alpha, reading):
-        verdict = is_backward_consistent(alpha, reading)
-        leaves.append((alpha, verdict))
-        return verdict
+    def record(inst, masks, strict):
+        failure = _backward_failure(inst, masks, strict)
+        leaves.append((list(masks), strict, failure))
+        return failure
 
-    monkeypatch.setattr(enumeration, "is_backward_consistent", record)
+    monkeypatch.setattr(enumeration, "_backward_failure", record)
     house = house_constraint(Instance(("1", "2", "3"), ("a", "b", "c")))
+    sets = house.instance.agent_sets
     result = enumeration.enumerate_consistent(house, enumeration.EnumerationOptions())
     assert (len(leaves), result.count) == (1794, 1056)
+    emitted = iter(result.assignments)
     failing = 0
-    for k, (alpha, verdict) in enumerate(leaves):
+    for k, (masks, strict, failure) in enumerate(leaves):
+        cells = {code: sets[mask] for code, mask in enumerate(masks) if mask}
+        alpha = CompromiserAssignment(house, cells)
         reference = reference_backward(alpha, "strict")
-        _agrees(verdict, reference)
+        assert strict
+        assert (failure is None) == (reference is None)
+        _agrees(is_backward_consistent(alpha, "strict"), reference)
+        if reference is None:
+            assert next(emitted).cells == alpha.cells
         failing += reference is not None
         if k % 3 == 0:
             _agrees(is_backward_consistent(alpha, "relaxed"), reference_backward(alpha, "relaxed"))

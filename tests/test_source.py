@@ -211,6 +211,63 @@ def test_one_function_steps_the_packed_prefix_walk():
     assert read <= {"roots"}, f"enumeration.py reads walk constants {sorted(read)}"
 
 
+def _loops(tree):
+    """Each for statement and comprehension with its target, its iterable and
+    the nodes in its scope."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For):
+            yield node.target, node.iter, node.body
+        elif isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp)):
+            scope = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+            for gen in node.generators:
+                yield gen.target, gen.iter, scope + gen.ifs
+
+
+# A bit set over something other than agents, built where it is used.
+NOT_AGENT_MASKS = {("axioms.py", "part"): "the parts a coalition's outcomes hold in one slice"}
+
+
+def test_agent_sets_and_masks_are_converted_only_in_core():
+    # Instance.members, agent_sets and mask_of are the one place that turns a
+    # mask into its agents or an agent set into its mask. Elsewhere no loop
+    # over a range tests its variable's bit in a mask (x >> i), and no loop
+    # over a collection sets its variable's bit (1 << i).
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for target, iterable, scope in _loops(ast.parse(path.read_text())):
+            if not isinstance(target, ast.Name):
+                continue
+            over_range = isinstance(iterable, ast.Call) and getattr(iterable.func, "id", None) == "range"
+            for node in (inner for part in scope for inner in ast.walk(part)):
+                if not (isinstance(node, ast.BinOp) and isinstance(node.right, ast.Name)
+                        and node.right.id == target.id):
+                    continue
+                if over_range and isinstance(node.op, ast.RShift):
+                    found.append(f"{path.name}:{node.lineno} agents of a mask")
+                elif (not over_range and isinstance(node.op, ast.LShift)
+                      and isinstance(node.left, ast.Constant) and node.left.value == 1
+                      and (path.name, target.id) not in NOT_AGENT_MASKS):
+                    found.append(f"{path.name}:{node.lineno} mask of agents")
+    assert not found, f"conversions outside core: {found}"
+
+
+def test_enumeration_keeps_no_move_tables():
+    # The search reads Instance.moves, memoised per instance, where it needs
+    # the moves, so every call iterates a for statement and none is stored.
+    tree = ast.parse((PACKAGE / "enumeration.py").read_text())
+    iterated = {id(node.iter) for node in ast.walk(tree) if isinstance(node, ast.For)}
+    found = [
+        f"enumeration.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "moves"
+        and id(node) not in iterated
+    ]
+    assert not found, f"move lists kept in {found}"
+
+
 def test_block_arithmetic_lives_in_core():
     # A block of profiles is the product of its agents' rank ranges, each of
     # (m - prefix length)! ranks. Instance.block builds that product and
