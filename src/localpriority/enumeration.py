@@ -1,5 +1,5 @@
 """Exhaustive enumeration of implementable consistent compromiser assignments
-for a constraint, with constraint propagation, symmetry quotienting, and
+for a constraint, with constraint propagation, symmetry breaking, and
 mechanism-level deduplication.
 
 Forward consistency is enforced exactly during the depth-first search. Backward
@@ -11,13 +11,25 @@ Implementability is propagated too: `engine._walk`, the one prefix walk that
 cells, so a branch is cut as soon as some run exhausts on them, every leaf is
 implementable, and the walk has already filled the leaf's table, which keys
 the mechanism deduplication.
+
+Consistency and implementability do not change when agents and objects are
+relabelled by a symmetry of the constraint, so the consistent assignments are
+a union of orbits. The search keeps only each orbit's least cell-mask key, its
+lex-leader (Crawford et al. 1996, "Symmetry-breaking predicates for search
+problems"): it cuts a node as soon as some symmetry maps the assigned prefix to
+a smaller key. `_quotient` then expands every leader into its orbit by
+permutation, in key order, which is the order the unpruned search emits, and
+moves the leader's table onto each member, so members are neither searched,
+checked nor walked.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 from .core import CompromiserAssignment, Constraint, Instance, ScaleLimitError
 from .consistency import (
@@ -36,6 +48,10 @@ from .engine import NotImplementableError, _walk, tabulate
 MAX_MOVE_CODES = 100_000
 # Stack frames kept free below the deepest `_dfs` call for the leaf checks.
 LEAF_STACK_DEPTH = 200
+# Agent and object permutation pairs, n! * m!, past which a search that is not
+# asked for orbits skips symmetry breaking and so the brute-force group, which
+# takes about 2 s at 7 agents and 2 objects (10,080 pairs) and grows n-fold.
+MAX_SYMMETRY_PAIRS = 5_040
 
 
 @dataclass(frozen=True)
@@ -82,6 +98,66 @@ def _permutation(inst: Instance, aperm: tuple[int, ...], operm: tuple[int, ...])
         return out
 
     return image
+
+
+class _Symmetry(NamedTuple):
+    """One symmetry as it acts on cell-mask keys: the moved key of `key` has
+    `mask_map[key[pre[j]]]` at cell j. `wait[j]` is the depth at which both
+    cell j and `pre[j]` are set; `perms` is the (agent permutation, object
+    permutation) pair."""
+
+    pre: tuple[int, ...]
+    mask_map: tuple[int, ...]
+    wait: tuple[int, ...]
+    perms: tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _symmetries(constraint: Constraint, quotient: bool) -> list[_Symmetry]:
+    """The distinct actions on cell-mask keys of `constraint_symmetries`, the
+    identity first; only the identity past `MAX_SYMMETRY_PAIRS` unless the
+    orbits are asked for."""
+    inst = constraint.instance
+    cells, index, mask_of = constraint.infeasible_codes, constraint.cell_index, inst.mask_of
+    pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]] = [(tuple(range(inst.n)), tuple(range(inst.m)))]
+    if quotient or math.factorial(inst.n) * math.factorial(inst.m) <= MAX_SYMMETRY_PAIRS:
+        pairs = constraint_symmetries(constraint)
+    actions: dict[tuple, _Symmetry] = {}
+    for aperm, operm in pairs:
+        image = _permutation(inst, aperm, operm)
+        moved = [0] * len(cells)
+        for k, code in enumerate(cells):
+            moved[index[image(code)]] = k
+        pre = tuple(moved)
+        mask_map = tuple(mask_of[frozenset(aperm[i] for i in agents)] for agents in inst.members)
+        wait = tuple(map(max, enumerate(pre)))
+        actions.setdefault((pre, mask_map), _Symmetry(pre, mask_map, wait, (aperm, operm)))
+    identity = (tuple(range(len(cells))), tuple(range(len(inst.members))))
+    return [actions.pop(identity), *actions.values()]
+
+
+def _moved_table(
+    inst: Instance, perms: tuple[tuple[int, ...], tuple[int, ...]]
+) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The map from a mechanism's table to the table of its image under the
+    symmetry: `moved[q] = image(table[source[q]])`, where the symmetry takes
+    profile `source[q]` to profile q."""
+    aperm, operm = perms
+    image = _permutation(inst, aperm, operm)
+    codes = [image(code) for code in range(inst.num_allocations)]
+    prefs, rank = inst.all_preferences(), inst.preference_rank
+    back = {o: k for k, o in enumerate(operm)}
+    # Agent aperm[i] of profile q holds agent i's ranking of profile
+    # source[q], renamed by operm.
+    source = [0]
+    for j in range(inst.n):
+        stride = inst.strides[aperm.index(j)]
+        ranks = [rank[tuple(back[o] for o in pref)] * stride for pref in prefs]
+        source = [s + r for s in source for r in ranks]
+
+    def move(table: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(codes.__getitem__, map(table.__getitem__, source)))
+
+    return move
 
 
 @dataclass
@@ -141,10 +217,24 @@ class _Search:
         self.required = [0] * len(self.cells)
         self.nodes = 0
         self.pruned = 0
-        self.found: list[CompromiserAssignment] = []
-        self.groups: dict[tuple[int, ...], list[int]] | None = (
-            {} if options.dedupe_by_mechanism else None
-        )
+        # The lex-leaders' keys and, with dedupe, their tables; a search cut
+        # by its budget records the prefix plus the mask it was about to try.
+        # A key is bytes while every mask fits in a byte: the same order and
+        # hash as a tuple in a quarter of its memory.
+        self.pack: Callable[[list[int]], Sequence[int]] = bytes if self.full_mask < 256 else tuple
+        self.leaders: list[Sequence[int]] = []
+        self.tables: list[tuple[int, ...]] | None = [] if options.dedupe_by_mechanism else None
+        self.frontier: tuple[int, ...] | None = None
+        # Each non-identity symmetry waits in `watch[d]` as (position, pre,
+        # mask_map, wait), d the depth at which its first undecided key
+        # position becomes known; `_lex` logs each move to `watch_log`, which
+        # `_dfs` pops to undo it on backtrack. Without cells every symmetry
+        # fixes the one (empty) key.
+        self.group = _symmetries(constraint, options.quotient_symmetry)
+        self.watch: list[list[tuple]] = [[] for _ in self.cells]
+        self.watch_log: list[int] = []
+        for g in self.group[1:] if self.cells else ():
+            self.watch[g.wait[0]].append((0, g.pre, g.mask_map, g.wait))
         self._build_forward()
         if options.require_backward:
             self._build_backward_pairs()
@@ -225,21 +315,39 @@ class _Search:
                 sub = (sub - 1) & movers
         return True
 
+    def _lex(self, depth: int) -> bool:
+        """Compare the key with its image under each symmetry waiting at this
+        depth, position by position while both are known: False (cut) when an
+        image is smaller. A symmetry whose image is larger drops out for the
+        subtree; one whose image is equal so far waits for its next position."""
+        assigned, watch, log = self.assigned, self.watch, self.watch_log
+        last = len(self.cells)
+        for p, pre, mask_map, wait in watch[depth]:
+            while True:
+                moved = mask_map[assigned[pre[p]]]
+                if moved != assigned[p]:
+                    if moved < assigned[p]:
+                        return False
+                    break
+                p += 1
+                if p == last:
+                    break
+                if wait[p] > depth:
+                    watch[wait[p]].append((p, pre, mask_map, wait))
+                    log.append(wait[p])
+                    break
+        return True
+
     def _emit(self) -> None:
-        """Check the leaf on the search's own masks; build its assignment only if it passes."""
-        inst = self.constraint.instance
+        """Check the leaf on the search's own masks; keep its key only if it passes."""
         if self.options.require_backward:
+            inst = self.constraint.instance
             if _backward_failure(inst, self.masks, self.options.reading == "strict") is not None:
                 self.pruned += 1
                 return
-        sets = inst.agent_sets
-        alpha = CompromiserAssignment(
-            self.constraint,
-            {code: sets[mask] for code, mask in zip(self.cells, self.assigned)},
-        )
-        if self.groups is not None:
-            self.groups.setdefault(tuple(self.table), []).append(len(self.found))
-        self.found.append(alpha)
+        self.leaders.append(self.pack(self.assigned))
+        if self.tables is not None:
+            self.tables.append(tuple(self.table))
 
     def run(self) -> bool:
         if not self.cells:
@@ -256,9 +364,11 @@ class _Search:
         forward = self.forward[depth]
         inst, index, table = self.constraint.instance, self.index, self.table
         parked, parked_log = self.parked, self.parked_log
+        watch, watch_log = self.watch, self.watch_log
         for mask in range(1, self.full_mask + 1):
             self.nodes += 1
             if self.nodes > self.options.budget:
+                self.frontier = (*assigned[:depth], mask)
                 return False
             if mask & required[depth] != required[depth]:
                 self.pruned += 1
@@ -278,9 +388,12 @@ class _Search:
                     if required[j] & req != req:
                         undo.append((j, required[j]))
                         required[j] |= req
+            watched = len(watch_log)
             if ok:
                 assigned[depth] = masks[code] = mask
-                if self.options.require_backward:
+                if watch[depth]:
+                    ok = self._lex(depth)
+                if ok and self.options.require_backward:
                     ok = self._apply_backward(depth, undo)
             mark = len(parked_log)
             if ok:
@@ -295,6 +408,8 @@ class _Search:
                 required[j] = old
             while len(parked_log) > mark:
                 parked[parked_log.pop()].pop()
+            while len(watch_log) > watched:
+                watch[watch_log.pop()].pop()
         assigned[depth] = masks[code] = 0
         return True
 
@@ -307,7 +422,8 @@ def enumerate_consistent(
     consistency conditions, in canonical order. Implementability is decided
     inside the search by the prefix walk through the assigned cells, so every
     leaf it reaches is implementable, and with dedupe the leaf's table is the
-    one the walk filled."""
+    one the walk filled. The search reaches only lex-leaders; `_quotient`
+    expands their orbits into the emitted list."""
     options = options or EnumerationOptions()
     # The walk fills one table of num_profiles entries under the profile
     # budget, the moves from every cell fill `Instance.moves`' memo with
@@ -325,53 +441,70 @@ def enumerate_consistent(
         )
     search = _Search(constraint, options)
     complete = search.run()
+    assignments, groups, representatives = _quotient(search)
     result = EnumerationResult(
-        constraint, options, search.found, search.pruned, complete,
-        mechanism_groups=search.groups,
+        constraint, options, assignments, search.pruned, complete, mechanism_groups=groups,
     )
     if options.quotient_symmetry:
         # orbits of a partial list are not closed under the symmetries
         result.check_complete()
-        result.representatives = _quotient(result)
+        result.representatives = representatives
     return result
 
 
-def _quotient(result: EnumerationResult) -> list[tuple[CompromiserAssignment, int]]:
-    """Group the enumerated assignments into symmetry orbits; representatives
-    are minimal under the canonical cell-mask encoding."""
-    constraint = result.constraint
+def _quotient(search: _Search) -> tuple[
+    list[CompromiserAssignment],
+    dict[tuple[int, ...], list[int]] | None,
+    list[tuple[CompromiserAssignment, int]],
+]:
+    """Expand the lex-leaders the search found into their orbits: every
+    member's assignment in key order, the mechanism groups (with dedupe) and
+    each leader with its orbit size. A member's table is its leader's table
+    moved by the symmetry that made it, built in key order while grouping.
+    After a budget cut only the members below the search's frontier are kept:
+    every key there was searched in full, so the list is a prefix of the
+    complete one."""
+    constraint, frontier, tables = search.constraint, search.frontier, search.tables
     inst = constraint.instance
-    codes, mask_of = range(inst.num_allocations), inst.mask_of
-    actions = [
-        (
-            tuple(map(_permutation(inst, aperm, operm), codes)),
-            [mask_of[frozenset(aperm[i] for i in agents)] for agents in inst.members],
-        )
-        for aperm, operm in constraint_symmetries(constraint)
-    ]
-    cells = constraint.infeasible_codes
-    key_of: dict[tuple[int, ...], int] = {}
-    for k, alpha in enumerate(result.assignments):
-        key_of[tuple(mask_of[alpha.cells[c]] for c in cells)] = k
+    # Each member's key, mapped to its leader and the symmetry that made it.
+    # Orbits are disjoint, so a key already claimed is the same member again;
+    # the identity, symmetry 0, claims every leader's own key first.
+    members: dict[Sequence[int], tuple[int, int]] = {}
+    sizes = [0] * len(search.leaders)
+    for s, g in enumerate(search.group):
+        pre, mask_map = g.pre, g.mask_map
+        for k, leader in enumerate(search.leaders):
+            if frontier is not None:
+                # most members of a cut search lie past the frontier's first mask
+                if mask_map[leader[pre[0]]] > frontier[0]:
+                    continue
+                for j, bound in enumerate(frontier):
+                    moved = mask_map[leader[pre[j]]]
+                    if moved != bound:
+                        break
+                if moved >= bound:
+                    continue
+            key = search.pack([mask_map[leader[j]] for j in pre]) if s else leader
+            if key not in members:
+                members[key] = (k, s)
+                sizes[k] += 1
 
-    reps: list[tuple[CompromiserAssignment, int]] = []
-    claimed: set[tuple[int, ...]] = set()
-    for key in sorted(key_of):
-        if key in claimed:
-            continue
-        masks = dict(zip(cells, key))
-        orbit = set()
-        for code_map, mask_map in actions:
-            moved = {code_map[c]: mask_map[masks[c]] for c in cells}
-            orbit.add(tuple(moved[c] for c in cells))
-        for member in orbit:
-            if member not in key_of:
-                raise AssertionError(
-                    "symmetry image of an emitted assignment was not emitted"
-                )
-        claimed |= orbit
-        reps.append((result.assignments[key_of[key]], len(orbit)))
-    return reps
+    sets, cells = inst.agent_sets, constraint.infeasible_codes
+    assignments: list[CompromiserAssignment] = []
+    representatives: list[tuple[CompromiserAssignment, int]] = []
+    groups: dict[tuple[int, ...], list[int]] | None = None if tables is None else {}
+    moves: dict[int, Callable[[tuple[int, ...]], tuple[int, ...]]] = {}
+    for key in sorted(members):
+        k, s = members[key]
+        alpha = CompromiserAssignment(constraint, dict(zip(cells, map(sets.__getitem__, key))))
+        if s == 0:
+            representatives.append((alpha, sizes[k]))
+        if groups is not None:
+            if s not in moves:
+                moves[s] = _moved_table(inst, search.group[s].perms)
+            groups.setdefault(moves[s](tables[k]), []).append(len(assignments))
+        assignments.append(alpha)
+    return assignments, groups, representatives
 
 
 def brute_force_consistent(

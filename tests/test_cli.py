@@ -249,11 +249,11 @@ def test_enumerate_refuses_oversized_constraint_up_front():
 @pytest.mark.parametrize("extra", [(), ("--dedupe",)])
 def test_enumerate_quotient_refuses_an_incomplete_search(extra):
     proc = run_cli(
-        "enumerate", "--constraint", fx("house.json"), "--quotient", "--budget", "20000", *extra
+        "enumerate", "--constraint", fx("house.json"), "--quotient", "--budget", "2000", *extra
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "error: enumeration incomplete within its budget of 20000 nodes\n"
+    assert proc.stderr == "error: enumeration incomplete within its budget of 2000 nodes\n"
 
 
 def test_enumerate_refuses_oversized_move_tables_up_front(tmp_path):

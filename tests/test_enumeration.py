@@ -1,3 +1,4 @@
+import math
 import sys
 import time
 
@@ -14,8 +15,10 @@ from localpriority.core import (
 )
 from localpriority.consistency import is_backward_consistent, is_forward_consistent
 from localpriority.engine import is_implementable, tabulate
+from localpriority import enumeration
 from localpriority.enumeration import (
     LEAF_STACK_DEPTH,
+    MAX_SYMMETRY_PAIRS,
     EnumerationOptions,
     brute_force_consistent,
     constraint_symmetries,
@@ -96,10 +99,10 @@ def test_budget_exhaustion_reports_incomplete(house3):
 @pytest.mark.parametrize("dedupe", [False, True])
 def test_quotient_refuses_an_incomplete_enumeration(house3, dedupe):
     # the orbits of a partial assignment list are not closed under the group
-    options = EnumerationOptions(quotient_symmetry=True, dedupe_by_mechanism=dedupe, budget=20_000)
+    options = EnumerationOptions(quotient_symmetry=True, dedupe_by_mechanism=dedupe, budget=2_000)
     with pytest.raises(ScaleLimitError) as info:
         enumerate_consistent(house3, options)
-    assert str(info.value) == "enumeration incomplete within its budget of 20000 nodes"
+    assert str(info.value) == "enumeration incomplete within its budget of 2000 nodes"
 
 
 def test_oversized_move_tables_are_refused_before_any_is_built():
@@ -136,6 +139,26 @@ def test_searches_within_the_guardrails_still_run(name):
         constraint = load_constraint(load_fixture(name))
     result = enumerate_consistent(constraint, EnumerationOptions(budget=500))
     assert result.pruned_nodes
+
+
+def test_a_search_past_the_symmetry_bound_builds_no_group(monkeypatch):
+    # 7 agents and 2 objects: 10,080 permutation pairs, past the bound, so
+    # only a search asked for orbits builds the group by brute force (here
+    # replaced by the identity, which keeps the call cheap).
+    calls = []
+
+    def identity(constraint):
+        calls.append(constraint)
+        return ((tuple(range(7)), (0, 1)),)
+
+    monkeypatch.setattr(enumeration, "constraint_symmetries", identity)
+    inst = Instance(tuple("1234567"), ("a", "b"))
+    constraint = Constraint(inst, frozenset(range(1, inst.num_allocations)), ("explicit",))
+    assert math.factorial(7) * 2 > MAX_SYMMETRY_PAIRS
+    assert enumerate_consistent(constraint, EnumerationOptions()).count == 7
+    assert not calls
+    result = enumerate_consistent(constraint, EnumerationOptions(quotient_symmetry=True))
+    assert calls == [constraint] and result.orbit_count == 7
 
 
 def test_house_symmetry_group_order(house3):

@@ -51,7 +51,7 @@ from localpriority.core import (
 )
 from localpriority import compare, enumeration
 from localpriority.compare import check_agent_dominance, check_pointwise_dominance
-from localpriority.fileio import load_alpha
+from localpriority.fileio import load_alpha, load_constraint
 from localpriority.engine import (
     EXHAUSTED,
     Exhausted,
@@ -1010,12 +1010,18 @@ def test_consistency_matches_reference_loops_on_generated_assignments(alpha):
     _consistency_agrees(alpha)
 
 
-def test_backward_matches_reference_on_the_house_search_leaves(monkeypatch):
-    # Every leaf the house n=3 search checks, rebuilt from the cell masks the
-    # search hands its leaf check, with the outcome the search got. The full
-    # verdict is compared strict on every leaf, relaxed on every third. The
-    # search reaches only implementable leaves, so the leaves that fail the
-    # check are the same 738 as when every leaf was tabulated after it.
+def _identity_group(monkeypatch):
+    """Hand the search only the identity symmetry, which turns off both the
+    lex-leader prune and the orbit expansion: the search then walks, checks
+    and emits every member of every orbit."""
+    def identity(constraint):
+        inst = constraint.instance
+        return ((tuple(range(inst.n)), tuple(range(inst.m))),)
+
+    monkeypatch.setattr(enumeration, "constraint_symmetries", identity)
+
+
+def _recorded_leaves(monkeypatch, house):
     leaves = []
 
     def record(inst, masks, strict):
@@ -1024,9 +1030,23 @@ def test_backward_matches_reference_on_the_house_search_leaves(monkeypatch):
         return failure
 
     monkeypatch.setattr(enumeration, "_backward_failure", record)
+    return enumeration.enumerate_consistent(house, enumeration.EnumerationOptions()), leaves
+
+
+def test_backward_matches_reference_on_the_house_search_leaves(monkeypatch):
+    # Every leaf the house n=3 search checks, rebuilt from the cell masks the
+    # search hands its leaf check, with the outcome the search got. The full
+    # verdict is compared strict on every leaf, relaxed on every third. The
+    # search reaches only implementable leaves, so the leaves that fail the
+    # check are the same 738 as when every leaf was tabulated after it. With
+    # its symmetry group the search checks only the 45 orbits' lex-leaders.
     house = house_constraint(Instance(("1", "2", "3"), ("a", "b", "c")))
+    result, leaves = _recorded_leaves(monkeypatch, house)
+    assert (len(leaves), sum(failure is None for _, _, failure in leaves)) == (73, 45)
+    assert result.count == 1056
+    _identity_group(monkeypatch)
+    result, leaves = _recorded_leaves(monkeypatch, house)
     sets = house.instance.agent_sets
-    result = enumeration.enumerate_consistent(house, enumeration.EnumerationOptions())
     assert (len(leaves), result.count) == (1794, 1056)
     emitted = iter(result.assignments)
     failing = 0
@@ -1043,3 +1063,128 @@ def test_backward_matches_reference_on_the_house_search_leaves(monkeypatch):
         if k % 3 == 0:
             _agrees(is_backward_consistent(alpha, "relaxed"), reference_backward(alpha, "relaxed"))
     assert failing == 738
+
+
+def reference_quotient(result, group):
+    """Group a complete list of enumerated assignments into the orbits of
+    `group`; representatives are minimal under the canonical cell-mask
+    encoding. Raises if an orbit is not closed in the list."""
+    constraint = result.constraint
+    inst = constraint.instance
+    codes, mask_of = range(inst.num_allocations), inst.mask_of
+    actions = [
+        (
+            tuple(map(enumeration._permutation(inst, aperm, operm), codes)),
+            [mask_of[frozenset(aperm[i] for i in agents)] for agents in inst.members],
+        )
+        for aperm, operm in group
+    ]
+    cells = constraint.infeasible_codes
+    key_of = {}
+    for k, alpha in enumerate(result.assignments):
+        key_of[tuple(mask_of[alpha.cells[c]] for c in cells)] = k
+
+    reps = []
+    claimed = set()
+    for key in sorted(key_of):
+        if key in claimed:
+            continue
+        masks = dict(zip(cells, key))
+        orbit = set()
+        for code_map, mask_map in actions:
+            moved = {code_map[c]: mask_map[masks[c]] for c in cells}
+            orbit.add(tuple(moved[c] for c in cells))
+        for member in orbit:
+            if member not in key_of:
+                raise AssertionError(
+                    "symmetry image of an emitted assignment was not emitted"
+                )
+        claimed |= orbit
+        reps.append((result.assignments[key_of[key]], len(orbit)))
+    return reps
+
+
+def _orbits(reps):
+    return [(sorted(alpha.cells.items()), size) for alpha, size in reps]
+
+
+def _search_constraints():
+    house = house_constraint(Instance(("1", "2", "3"), ("a", "b", "c")))
+    inst = house.instance
+    out = {"house": house}
+    for name in "abc":
+        obj = inst.object_index(name)
+        out[f"house+{name}"] = Constraint(inst, house.feasible | {inst.encode((obj,) * 3)}, ("explicit",))
+    for name in ("social.json", "social2.json"):
+        out[name] = load_constraint(json.loads((Path(__file__).parent / "fixtures" / name).read_text()))
+    return out
+
+
+@pytest.mark.parametrize("name,reading", [
+    ("house", "strict"), ("house", "relaxed"), ("house+a", "strict"), ("house+b", "strict"),
+    ("house+c", "strict"), ("social2.json", "strict"), ("social.json", "strict"),
+])
+def test_symmetry_breaking_matches_the_search_without_it(monkeypatch, name, reading):
+    # The lex-leader search, with its orbits expanded and their tables moved
+    # by permutation, against the search that walks every member: the same
+    # assignments in the same order, the same mechanism groups, and the
+    # orbits the reference quotient finds in the full list.
+    constraint = _search_constraints()[name]
+    options = enumeration.EnumerationOptions(
+        reading=reading, quotient_symmetry=True, dedupe_by_mechanism=True
+    )
+    group = enumeration.constraint_symmetries(constraint)
+    broken = enumeration.enumerate_consistent(constraint, options)
+    _identity_group(monkeypatch)
+    full = enumeration.enumerate_consistent(constraint, options)
+    assert len(group) > 1 and broken.complete and full.complete
+    assert [a.cells for a in broken.assignments] == [a.cells for a in full.assignments]
+    assert list(broken.mechanism_groups.items()) == list(full.mechanism_groups.items())
+    assert _orbits(broken.representatives) == _orbits(reference_quotient(full, group))
+    assert full.orbit_count == full.count
+
+
+@pytest.mark.parametrize("forward,backward,budget", [
+    (True, True, 50), (True, True, 1_447), (True, True, 2_000), (True, False, 20_000),
+])
+def test_a_budget_cut_search_emits_a_prefix_of_the_complete_list(monkeypatch, forward, backward, budget):
+    # Every key below the frontier of a cut search was searched in full, so
+    # its members there are a prefix of the complete list, and that prefix
+    # is at least as long as the one the search without symmetry breaking
+    # reaches in the same budget. The complete list comes from the search
+    # without symmetry breaking; the forward-only house search does not
+    # complete, so there it is that search's cut at twice the budget. At
+    # 1,447 nodes the search stops before a node that members of orbits it
+    # has already found lie under, and which it has not searched.
+    house = house_constraint(Instance(("1", "2", "3"), ("a", "b", "c")))
+
+    def run(budget):
+        options = enumeration.EnumerationOptions(
+            require_forward=forward, require_backward=backward, dedupe_by_mechanism=True, budget=budget
+        )
+        return enumeration.enumerate_consistent(house, options)
+
+    cut = run(budget)
+    _identity_group(monkeypatch)
+    plain, reference = run(budget), run(50_000_000 if backward else 2 * budget)
+    assert not cut.complete and not plain.complete and reference.complete == backward
+    count = cut.count
+    assert plain.count <= count < reference.count
+    assert [a.cells for a in cut.assignments] == [a.cells for a in reference.assignments[:count]]
+    prefix = {}
+    for table, members in reference.mechanism_groups.items():
+        if members[0] < count:
+            prefix[table] = [k for k in members if k < count]
+    assert list(cut.mechanism_groups.items()) == list(prefix.items())
+
+
+def test_house_with_four_objects_completes(monkeypatch):
+    # Group order 144: the search without symmetry breaking stops after 2M
+    # nodes with 18,649 of these assignments.
+    house = house_constraint(Instance(("1", "2", "3"), ("a", "b", "c", "d")))
+    options = enumeration.EnumerationOptions(quotient_symmetry=True)
+    result = enumeration.enumerate_consistent(house, options)
+    reps = reference_quotient(result, enumeration.constraint_symmetries(house))
+    assert result.complete
+    assert (result.count, len(reps)) == (38_898, 370)
+    assert _orbits(result.representatives) == _orbits(reps)
