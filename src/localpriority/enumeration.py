@@ -26,10 +26,9 @@ checked nor walked.
 from __future__ import annotations
 
 import itertools
-import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from .core import CompromiserAssignment, Constraint, Instance, ScaleLimitError
 from .consistency import (
@@ -48,10 +47,6 @@ from .engine import NotImplementableError, _walk, tabulate
 MAX_MOVE_CODES = 100_000
 # Stack frames kept free below the deepest `_dfs` call for the leaf checks.
 LEAF_STACK_DEPTH = 200
-# Agent and object permutation pairs, n! * m!, past which a search that is not
-# asked for orbits skips symmetry breaking and so the brute-force group, which
-# takes about 2 s at 7 agents and 2 objects (10,080 pairs) and grows n-fold.
-MAX_SYMMETRY_PAIRS = 5_040
 
 
 @dataclass(frozen=True)
@@ -73,14 +68,15 @@ def constraint_symmetries(
     constraint: Constraint,
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Every (agent permutation, object permutation) pair fixing the feasible
-    set, found by brute force."""
+    set, found by brute force. A permutation maps codes one-to-one, so it fixes
+    the feasible set exactly when it maps every infeasible code to one."""
     inst = constraint.instance
-    feasible = constraint.feasible
+    cells, index = constraint.infeasible_codes, constraint.cell_index
     pairs = []
     for aperm in itertools.permutations(range(inst.n)):
         for operm in itertools.permutations(range(inst.m)):
             image = _permutation(inst, aperm, operm)
-            if all(image(c) in feasible for c in sorted(feasible)):
+            if all(index[image(c)] >= 0 for c in cells):
                 pairs.append((aperm, operm))
     return tuple(pairs)
 
@@ -112,23 +108,23 @@ class _Symmetry(NamedTuple):
     perms: tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _symmetries(constraint: Constraint, quotient: bool) -> list[_Symmetry]:
+def _symmetries(constraint: Constraint) -> list[_Symmetry]:
     """The distinct actions on cell-mask keys of `constraint_symmetries`, the
-    identity first; only the identity past `MAX_SYMMETRY_PAIRS` unless the
-    orbits are asked for."""
+    identity first."""
     inst = constraint.instance
-    cells, index, mask_of = constraint.infeasible_codes, constraint.cell_index, inst.mask_of
-    pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]] = [(tuple(range(inst.n)), tuple(range(inst.m)))]
-    if quotient or math.factorial(inst.n) * math.factorial(inst.m) <= MAX_SYMMETRY_PAIRS:
-        pairs = constraint_symmetries(constraint)
+    cells, index = constraint.infeasible_codes, constraint.cell_index
     actions: dict[tuple, _Symmetry] = {}
-    for aperm, operm in pairs:
+    for aperm, operm in constraint_symmetries(constraint):
         image = _permutation(inst, aperm, operm)
         moved = [0] * len(cells)
         for k, code in enumerate(cells):
             moved[index[image(code)]] = k
         pre = tuple(moved)
-        mask_map = tuple(mask_of[frozenset(aperm[i] for i in agents)] for agents in inst.members)
+        # the masks with agent i's bit are those without it, plus aperm[i]'s bit
+        masks = [0]
+        for i in range(inst.n):
+            masks += [mask | 1 << aperm[i] for mask in masks]
+        mask_map = tuple(masks)
         wait = tuple(map(max, enumerate(pre)))
         actions.setdefault((pre, mask_map), _Symmetry(pre, mask_map, wait, (aperm, operm)))
     identity = (tuple(range(len(cells))), tuple(range(len(inst.members))))
@@ -219,10 +215,7 @@ class _Search:
         self.pruned = 0
         # The lex-leaders' keys and, with dedupe, their tables; a search cut
         # by its budget records the prefix plus the mask it was about to try.
-        # A key is bytes while every mask fits in a byte: the same order and
-        # hash as a tuple in a quarter of its memory.
-        self.pack: Callable[[list[int]], Sequence[int]] = bytes if self.full_mask < 256 else tuple
-        self.leaders: list[Sequence[int]] = []
+        self.leaders: list[tuple[int, ...]] = []
         self.tables: list[tuple[int, ...]] | None = [] if options.dedupe_by_mechanism else None
         self.frontier: tuple[int, ...] | None = None
         # Each non-identity symmetry waits in `watch[d]` as (position, pre,
@@ -230,7 +223,7 @@ class _Search:
         # position becomes known; `_lex` logs each move to `watch_log`, which
         # `_dfs` pops to undo it on backtrack. Without cells every symmetry
         # fixes the one (empty) key.
-        self.group = _symmetries(constraint, options.quotient_symmetry)
+        self.group = _symmetries(constraint)
         self.watch: list[list[tuple]] = [[] for _ in self.cells]
         self.watch_log: list[int] = []
         for g in self.group[1:] if self.cells else ():
@@ -345,7 +338,7 @@ class _Search:
             if _backward_failure(inst, self.masks, self.options.reading == "strict") is not None:
                 self.pruned += 1
                 return
-        self.leaders.append(self.pack(self.assigned))
+        self.leaders.append(tuple(self.assigned))
         if self.tables is not None:
             self.tables.append(tuple(self.table))
 
@@ -466,43 +459,54 @@ def _quotient(search: _Search) -> tuple[
     complete one."""
     constraint, frontier, tables = search.constraint, search.frontier, search.tables
     inst = constraint.instance
-    # Each member's key, mapped to its leader and the symmetry that made it.
-    # Orbits are disjoint, so a key already claimed is the same member again;
-    # the identity, symmetry 0, claims every leader's own key first.
-    members: dict[Sequence[int], tuple[int, int]] = {}
-    sizes = [0] * len(search.leaders)
-    for s, g in enumerate(search.group):
-        pre, mask_map = g.pre, g.mask_map
-        for k, leader in enumerate(search.leaders):
-            if frontier is not None:
-                # most members of a cut search lie past the frontier's first mask
-                if mask_map[leader[pre[0]]] > frontier[0]:
-                    continue
-                for j, bound in enumerate(frontier):
-                    moved = mask_map[leader[pre[j]]]
-                    if moved != bound:
-                        break
-                if moved >= bound:
-                    continue
-            key = search.pack([mask_map[leader[j]] for j in pre]) if s else leader
-            if key not in members:
-                members[key] = (k, s)
-                sizes[k] += 1
+    # The members in key order, each as (key, leader, symmetry that made it).
+    order: Iterable[tuple[tuple[int, ...], int, int]]
+    if len(search.group) == 1:
+        # Each leader is its own orbit, and the search emitted the leaders in
+        # key order, all below its frontier.
+        sizes = [1] * len(search.leaders)
+        order = ((key, k, 0) for k, key in enumerate(search.leaders))
+    else:
+        # Each member's key, mapped to its leader and symmetry. Orbits are
+        # disjoint, so a key already claimed is the same member again; the
+        # identity, symmetry 0, claims every leader's own key first.
+        members: dict[tuple[int, ...], tuple[int, int]] = {}
+        sizes = [0] * len(search.leaders)
+        for s, g in enumerate(search.group):
+            pre, mask_map = g.pre, g.mask_map
+            for k, leader in enumerate(search.leaders):
+                if frontier is not None:
+                    # most members of a cut search lie past the frontier's first mask
+                    if mask_map[leader[pre[0]]] > frontier[0]:
+                        continue
+                    for j, bound in enumerate(frontier):
+                        moved = mask_map[leader[pre[j]]]
+                        if moved != bound:
+                            break
+                    if moved >= bound:
+                        continue
+                key = tuple([mask_map[leader[j]] for j in pre]) if s else leader
+                if key not in members:
+                    members[key] = (k, s)
+                    sizes[k] += 1
+        order = ((key, *members[key]) for key in sorted(members))
 
     sets, cells = inst.agent_sets, constraint.infeasible_codes
     assignments: list[CompromiserAssignment] = []
     representatives: list[tuple[CompromiserAssignment, int]] = []
     groups: dict[tuple[int, ...], list[int]] | None = None if tables is None else {}
     moves: dict[int, Callable[[tuple[int, ...]], tuple[int, ...]]] = {}
-    for key in sorted(members):
-        k, s = members[key]
+    for key, k, s in order:
         alpha = CompromiserAssignment(constraint, dict(zip(cells, map(sets.__getitem__, key))))
         if s == 0:
             representatives.append((alpha, sizes[k]))
         if groups is not None:
-            if s not in moves:
-                moves[s] = _moved_table(inst, search.group[s].perms)
-            groups.setdefault(moves[s](tables[k]), []).append(len(assignments))
+            table = tables[k]
+            if s:
+                if s not in moves:
+                    moves[s] = _moved_table(inst, search.group[s].perms)
+                table = moves[s](table)
+            groups.setdefault(table, []).append(len(assignments))
         assignments.append(alpha)
     return assignments, groups, representatives
 

@@ -1,4 +1,3 @@
-import math
 import sys
 import time
 
@@ -15,10 +14,8 @@ from localpriority.core import (
 )
 from localpriority.consistency import is_backward_consistent, is_forward_consistent
 from localpriority.engine import is_implementable, tabulate
-from localpriority import enumeration
 from localpriority.enumeration import (
     LEAF_STACK_DEPTH,
-    MAX_SYMMETRY_PAIRS,
     EnumerationOptions,
     brute_force_consistent,
     constraint_symmetries,
@@ -139,26 +136,6 @@ def test_searches_within_the_guardrails_still_run(name):
         constraint = load_constraint(load_fixture(name))
     result = enumerate_consistent(constraint, EnumerationOptions(budget=500))
     assert result.pruned_nodes
-
-
-def test_a_search_past_the_symmetry_bound_builds_no_group(monkeypatch):
-    # 7 agents and 2 objects: 10,080 permutation pairs, past the bound, so
-    # only a search asked for orbits builds the group by brute force (here
-    # replaced by the identity, which keeps the call cheap).
-    calls = []
-
-    def identity(constraint):
-        calls.append(constraint)
-        return ((tuple(range(7)), (0, 1)),)
-
-    monkeypatch.setattr(enumeration, "constraint_symmetries", identity)
-    inst = Instance(tuple("1234567"), ("a", "b"))
-    constraint = Constraint(inst, frozenset(range(1, inst.num_allocations)), ("explicit",))
-    assert math.factorial(7) * 2 > MAX_SYMMETRY_PAIRS
-    assert enumerate_consistent(constraint, EnumerationOptions()).count == 7
-    assert not calls
-    result = enumerate_consistent(constraint, EnumerationOptions(quotient_symmetry=True))
-    assert calls == [constraint] and result.orbit_count == 7
 
 
 def test_house_symmetry_group_order(house3):
