@@ -73,7 +73,10 @@ ALL_PROPS = tuple(TABLE_PROPS) + ALPHA_PROPS + ("local-priority",)
 
 def _read_json(path: str) -> Any:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} nests JSON too deeply") from None
 
 
 def _load_constraint_arg(args: argparse.Namespace) -> Constraint | None:

@@ -227,7 +227,7 @@ def _sweep(alpha: CompromiserAssignment, partial: bool) -> tuple[int, ...]:
 
 
 def _walk(inst: Instance, index: Sequence[int], masks: Sequence[int], depth: int,
-          stack: list[int], table: list[int], parked: list[list[int]], log: list[int]) -> int | None:
+          stack: list[int], table: list[int], parked: list[list[int]], log: list[list[int]]) -> int | None:
     """The one prefix walk. It runs the packed states on `stack` (see
     `PrefixWalk`) and returns the first that fails, or None once the stack
     is empty.
@@ -238,10 +238,10 @@ def _walk(inst: Instance, index: Sequence[int], masks: Sequence[int], depth: int
     compromisers as a bitmask, and only cells 0 to `depth` are assigned. A
     state at a feasible allocation fills its block of `table` with the code.
     One at a later cell waits ("parks") in that cell's `parked` list, and the
-    cell goes on `log`. At an assigned cell, each compromiser moves to every
-    object not yet in their prefix. A state fails where its cell is empty or
-    a compromiser's prefix holds every object: then every profile in its
-    block exhausts on cells 0 to `depth`, whatever the later cells hold.
+    list itself goes on `log`. At an assigned cell, each compromiser moves to
+    every object not yet in their prefix. A state fails where its cell is
+    empty or a compromiser's prefix holds every object: then every profile in
+    its block exhausts on cells 0 to `depth`, whatever the later cells hold.
     """
     plan = inst.prefix_walk
     code_mask, base_shift, base_mask = plan.code_mask, plan.base_shift, plan.base_mask
@@ -260,7 +260,7 @@ def _walk(inst: Instance, index: Sequence[int], masks: Sequence[int], depth: int
                 table[base + s : base + s + span] = run
         elif k > depth:
             parked[k].append(state)
-            log.append(k)
+            log.append(parked[k])
         else:
             mask = masks[k]
             if not mask:

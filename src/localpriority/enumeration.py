@@ -26,7 +26,6 @@ checked nor walked.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -41,12 +40,11 @@ from .consistency import (
 )
 from .engine import NotImplementableError, _walk, tabulate
 
-# Codes `_build_forward` may leave in `Instance.moves`' memo, |cells| * (m^n - 1):
-# every 4-agent instance within the profile budget needs at most 256 * 255, a
-# 5-agent one 243 * 242.
+# Codes the search's tables may leave in `Instance.moves`' memo,
+# |cells| * (m^n - 1): every 4-agent instance within the profile budget needs
+# at most 256 * 255, a 5-agent one 243 * 242. As |cells| <= m^n, no search
+# admitted has more than 316 cells.
 MAX_MOVE_CODES = 100_000
-# Stack frames kept free below the deepest `_dfs` call for the leaf checks.
-LEAF_STACK_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,6 @@ class _Search:
         # allocation is feasible or its cell is unassigned) for the leaf check.
         self.assigned = [0] * len(self.cells)
         self.masks = [0] * inst.num_allocations
-        self.required = [0] * len(self.cells)
         self.nodes = 0
         self.pruned = 0
         # The lex-leaders' keys and, with dedupe, their tables; a search cut
@@ -218,27 +215,31 @@ class _Search:
         self.leaders: list[tuple[int, ...]] = []
         self.tables: list[tuple[int, ...]] | None = [] if options.dedupe_by_mechanism else None
         self.frontier: tuple[int, ...] | None = None
-        # Each non-identity symmetry waits in `watch[d]` as (position, pre,
-        # mask_map, wait), d the depth at which its first undecided key
-        # position becomes known; `_lex` logs each move to `watch_log`, which
-        # `_dfs` pops to undo it on backtrack. Without cells every symmetry
-        # fixes the one (empty) key.
+        # Every change a node makes appends to one of these lists and puts
+        # the list on `trail`; backtracking to a cell pops the trail down to
+        # its length when the cell was entered, and each list popped off it
+        # loses its last entry:
+        # - `required[j]`, whose last entry is the agents cell j must hold;
+        # - `watch[d]`, each non-identity symmetry as (position, pre,
+        #   mask_map, wait), d the depth at which its first undecided key
+        #   position becomes known (without cells every symmetry fixes the
+        #   one, empty, key);
+        # - `parked[k]`, the walk's states waiting for cell k to be set; at a
+        #   leaf, `table` is the leaf's mechanism.
+        self.trail: list[list] = []
+        self.required = [[0] for _ in self.cells]
         self.group = _symmetries(constraint)
         self.watch: list[list[tuple]] = [[] for _ in self.cells]
-        self.watch_log: list[int] = []
         for g in self.group[1:] if self.cells else ():
             self.watch[g.wait[0]].append((0, g.pre, g.mask_map, g.wait))
         self._build_forward()
         if options.require_backward:
             self._build_backward_pairs()
-        # `_dfs` runs the states parked at each cell it assigns, and pops
-        # `parked_log` to undo their parks on backtrack; at a leaf, `table` is
-        # the leaf's mechanism. The roots park or fill before any assignment.
+        # The roots park or fill before any assignment.
         self.table = [0] * inst.num_profiles
         self.parked: list[list[int]] = [[] for _ in self.cells]
-        self.parked_log: list[int] = []
         _walk(inst, self.index, self.assigned, -1, list(inst.prefix_walk.roots),
-              self.table, self.parked, self.parked_log)
+              self.table, self.parked, self.trail)
 
     def _build_forward(self) -> None:
         """Per (cell, mask): None when some proper-subset move reaches a
@@ -275,18 +276,15 @@ class _Search:
                     if j >= 0:
                         self.backward_pairs_at[max(k, j)].append((k, j, i))
 
-    def _apply_backward(
-        self, depth: int, undo: list[tuple[int, int]]
-    ) -> bool:
+    def _apply_backward(self, depth: int) -> bool:
         """Two-step backward-consistency rules whose (x, y) pair completed at
         this depth: x one move (by agent i) from y, i compromising at x, means
         i must still compromise at every x' reached from x by the other
         compromisers of y. A feasible x' prunes under the strict reading and
-        is passed over under the relaxed one. Returns False to prune; the
-        caller undoes the `required` bits set before a prune."""
+        is passed over under the relaxed one. Returns False to prune."""
         strict = self.options.reading == "strict"
         moves, cells, index = self.constraint.instance.moves, self.cells, self.index
-        assigned, required = self.assigned, self.required
+        assigned, required, trail = self.assigned, self.required, self.trail
         for xk, yk, agent in self.backward_pairs_at[depth]:
             if not (assigned[xk] >> agent) & 1:
                 continue
@@ -302,9 +300,9 @@ class _Search:
                     elif j <= depth:
                         if not (assigned[j] >> agent) & 1:
                             return False
-                    elif not (required[j] >> agent) & 1:
-                        undo.append((j, required[j]))
-                        required[j] |= bit
+                    elif not (required[j][-1] >> agent) & 1:
+                        required[j].append(required[j][-1] | bit)
+                        trail.append(required[j])
                 sub = (sub - 1) & movers
         return True
 
@@ -313,7 +311,7 @@ class _Search:
         depth, position by position while both are known: False (cut) when an
         image is smaller. A symmetry whose image is larger drops out for the
         subtree; one whose image is equal so far waits for its next position."""
-        assigned, watch, log = self.assigned, self.watch, self.watch_log
+        assigned, watch, trail = self.assigned, self.watch, self.trail
         last = len(self.cells)
         for p, pre, mask_map, wait in watch[depth]:
             while True:
@@ -327,9 +325,38 @@ class _Search:
                     break
                 if wait[p] > depth:
                     watch[wait[p]].append((p, pre, mask_map, wait))
-                    log.append(wait[p])
+                    trail.append(watch[wait[p]])
                     break
         return True
+
+    def _node(self, depth: int, mask: int) -> bool:
+        """Check the mask just set at `depth` and propagate it: the required
+        agents, its forward consequences, the lex-leader cut, the two-step
+        backward rule and the walk through the cell. False prunes the node."""
+        required, trail = self.required, self.trail
+        need = required[depth][-1]
+        if mask & need != need:
+            return False
+        cons = self.forward[depth][mask]
+        if cons is None:
+            return False
+        assigned = self.assigned
+        for j, req in cons:
+            if j < depth:
+                if assigned[j] & req != req:
+                    return False
+            elif j > depth:
+                bound = required[j]
+                if bound[-1] & req != req:
+                    bound.append(bound[-1] | req)
+                    trail.append(bound)
+        if self.watch[depth] and not self._lex(depth):
+            return False
+        if self.options.require_backward and not self._apply_backward(depth):
+            return False
+        parked = self.parked
+        return _walk(self.constraint.instance, self.index, assigned, depth, parked[depth][:],
+                     self.table, parked, trail) is None
 
     def _emit(self) -> None:
         """Check the leaf on the search's own masks; keep its key only if it passes."""
@@ -343,67 +370,37 @@ class _Search:
             self.tables.append(tuple(self.table))
 
     def run(self) -> bool:
-        if not self.cells:
+        """Try the masks of each cell in increasing order, depth first; a
+        node that passes `_node` moves on to the next cell or, at the last,
+        is emitted. Returns False when the node budget cuts the search."""
+        last = len(self.cells) - 1
+        if last < 0:
             self._emit()
             return True
-        return self._dfs(0)
-
-    def _dfs(self, depth: int) -> bool:
-        if depth == len(self.cells):
-            self._emit()
-            return True
-        assigned, masks, code = self.assigned, self.masks, self.cells[depth]
-        required = self.required
-        forward = self.forward[depth]
-        inst, index, table = self.constraint.instance, self.index, self.table
-        parked, parked_log = self.parked, self.parked_log
-        watch, watch_log = self.watch, self.watch_log
-        for mask in range(1, self.full_mask + 1):
+        assigned, masks, cells, trail = self.assigned, self.masks, self.cells, self.trail
+        # marks[d] is the trail's length when cell d was entered
+        marks = [len(trail)] * len(cells)
+        depth = 0
+        while depth >= 0:
+            while len(trail) > marks[depth]:
+                trail.pop().pop()
+            mask = assigned[depth] + 1
+            if mask > self.full_mask:
+                assigned[depth] = masks[cells[depth]] = 0
+                depth -= 1
+                continue
             self.nodes += 1
             if self.nodes > self.options.budget:
                 self.frontier = (*assigned[:depth], mask)
                 return False
-            if mask & required[depth] != required[depth]:
+            assigned[depth] = masks[cells[depth]] = mask
+            if not self._node(depth, mask):
                 self.pruned += 1
-                continue
-            cons = forward[mask]
-            if cons is None:
-                self.pruned += 1
-                continue
-            undo: list[tuple[int, int]] = []
-            ok = True
-            for j, req in cons:
-                if j < depth:
-                    if assigned[j] & req != req:
-                        ok = False
-                        break
-                elif j > depth:
-                    if required[j] & req != req:
-                        undo.append((j, required[j]))
-                        required[j] |= req
-            watched = len(watch_log)
-            if ok:
-                assigned[depth] = masks[code] = mask
-                if watch[depth]:
-                    ok = self._lex(depth)
-                if ok and self.options.require_backward:
-                    ok = self._apply_backward(depth, undo)
-            mark = len(parked_log)
-            if ok:
-                ok = _walk(inst, index, assigned, depth, parked[depth][:], table,
-                           parked, parked_log) is None
-            if ok:
-                if not self._dfs(depth + 1):
-                    return False
+            elif depth == last:
+                self._emit()
             else:
-                self.pruned += 1
-            for j, old in reversed(undo):
-                required[j] = old
-            while len(parked_log) > mark:
-                parked[parked_log.pop()].pop()
-            while len(watch_log) > watched:
-                watch[watch_log.pop()].pop()
-        assigned[depth] = masks[code] = 0
+                depth += 1
+                marks[depth] = len(trail)
         return True
 
 
@@ -419,19 +416,15 @@ def enumerate_consistent(
     expands their orbits into the emitted list."""
     options = options or EnumerationOptions()
     # The walk fills one table of num_profiles entries under the profile
-    # budget, the moves from every cell fill `Instance.moves`' memo with
-    # |cells| * (m^n - 1) codes, and `_dfs` recurses once per cell: an
-    # instance too large for any of them is refused before a table is built.
+    # budget, and the moves from every cell fill `Instance.moves`' memo with
+    # |cells| * (m^n - 1) codes: an instance too large for either is refused
+    # before a table is built.
     inst = constraint.instance
     inst.check_profile_budget()
     cells = inst.num_allocations - len(constraint.feasible)
     codes = cells * (inst.num_allocations - 1)
     if codes > MAX_MOVE_CODES:
         raise ScaleLimitError(f"move tables of {codes} codes exceed guardrail {MAX_MOVE_CODES}")
-    if cells + LEAF_STACK_DEPTH > sys.getrecursionlimit():
-        raise ScaleLimitError(
-            f"{cells} infeasible cells exceed the recursion limit {sys.getrecursionlimit()}"
-        )
     search = _Search(constraint, options)
     complete = search.run()
     assignments, groups, representatives = _quotient(search)

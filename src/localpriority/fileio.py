@@ -2,8 +2,13 @@
 mechanism parameter files, and witness serialization.
 
 External allocation form is an array of object names in agent declaration
-order; allocation map keys use the comma-joined form "a,a,b". Writers sort
-keys so fixture files are byte-stable.
+order; allocation map keys use the comma-joined form "a,a,b", so no object
+name holds a comma. Writers sort keys so fixture files are byte-stable.
+
+Loaders check each document's shape before reading it: a malformed one is
+refused with ValueError, which the command line reports as bad input. A name
+is a JSON string, and a list of names is a JSON list of them; a string is
+never read as a list of one-character names.
 """
 
 from __future__ import annotations
@@ -28,13 +33,40 @@ from .mechanisms import Endowment, MarriageSpec, SchoolSpec
 CONSTRAINT_KINDS = ("house", "school", "social", "one_sided", "two_sided", "explicit")
 
 
-def _instance_from(doc: Mapping[str, Any]) -> Instance:
+def _mapping(value: Any, what: str) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def _names(value: Any, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        raise ValueError(f"{what} must be a list of names")
+    return value
+
+
+def _capacities(doc: Mapping[str, Any], inst: Instance) -> list[int]:
+    caps = _mapping(doc["capacities"], "capacities")
+    out = []
+    for name in inst.objects:
+        cap = caps[name]
+        if type(cap) is not int:
+            raise ValueError(f"capacity of {name!r} must be an integer")
+        out.append(cap)
+    return out
+
+
+def _instance_from(doc: Any) -> Instance:
+    doc = _mapping(doc, "document")
     try:
-        agents = tuple(str(a) for a in doc["agents"])
-        objects = tuple(str(o) for o in doc["objects"])
+        agents = _names(doc["agents"], "agents")
+        objects = _names(doc["objects"], "objects")
     except KeyError as exc:
         raise ValueError(f"missing field {exc} in document") from None
-    return Instance(agents, objects)
+    for name in objects:
+        if "," in name:
+            raise ValueError(f"object name {name!r} holds ',', which joins allocation keys")
+    return Instance(tuple(agents), tuple(objects))
 
 
 def load_constraint(doc: Mapping[str, Any]) -> Constraint:
@@ -49,14 +81,15 @@ def load_constraint(doc: Mapping[str, Any]) -> Constraint:
     if kind == "one_sided":
         return one_sided_constraint(inst)
     if kind == "school":
-        caps = doc["capacities"]
-        return school_constraint(
-            inst, [int(caps[name]) for name in inst.objects]
-        )
+        return school_constraint(inst, _capacities(doc, inst))
     if kind == "two_sided":
-        return two_sided_constraint(inst, doc["men"], doc["women"])
+        return two_sided_constraint(inst, _names(doc["men"], "men"), _names(doc["women"], "women"))
+    rows = doc["feasible"]
+    if not isinstance(rows, list):
+        raise ValueError("feasible must be a list of allocations")
     feasible = frozenset(
-        inst.encode([inst.object_index(o) for o in row]) for row in doc["feasible"]
+        inst.encode([inst.object_index(o) for o in _names(row, "a feasible allocation")])
+        for row in rows
     )
     return Constraint(inst, feasible, ("explicit",))
 
@@ -100,6 +133,7 @@ def load_alpha(
 ) -> CompromiserAssignment:
     """Read an assignment file. Without an explicit constraint, the implied
     one is used: infeasible exactly where a cell appears."""
+    cells_doc = _mapping(_mapping(doc, "document")["cells"], "cells")
     if constraint is None:
         if "agents" not in doc or "objects" not in doc:
             raise ValueError(
@@ -107,15 +141,15 @@ def load_alpha(
             )
         inst = _instance_from(doc)
         cell_codes = {
-            inst.encode(parse_allocation_key(inst, key)) for key in doc["cells"]
+            inst.encode(parse_allocation_key(inst, key)) for key in cells_doc
         }
         feasible = frozenset(range(inst.num_allocations)) - cell_codes
         constraint = Constraint(inst, feasible, ("explicit",))
     inst = constraint.instance
     cells = {}
-    for key, agents in doc["cells"].items():
+    for key, agents in cells_doc.items():
         code = inst.encode(parse_allocation_key(inst, key))
-        cells[code] = frozenset(inst.agent_index(a) for a in agents)
+        cells[code] = frozenset(inst.agent_index(a) for a in _names(agents, f"cell {key!r}"))
     return CompromiserAssignment(constraint, cells)
 
 
@@ -134,11 +168,12 @@ def dump_alpha(alpha: CompromiserAssignment) -> dict:
 
 
 def load_profile(doc: Mapping[str, Any], inst: Instance) -> Profile:
+    doc = _mapping(doc, "profile")
     prefs = []
     for agent in inst.agents:
         if agent not in doc:
             raise ValueError(f"profile missing agent {agent!r}")
-        ranking = tuple(inst.object_index(o) for o in doc[agent])
+        ranking = tuple(inst.object_index(o) for o in _names(doc[agent], f"ranking of {agent!r}"))
         if tuple(sorted(ranking)) != tuple(range(inst.m)):
             raise ValueError(f"agent {agent!r} must rank every object exactly once")
         prefs.append(ranking)
@@ -154,16 +189,18 @@ def dump_profile(profile: Profile, inst: Instance) -> dict:
 
 def load_school_spec(doc: Mapping[str, Any]) -> SchoolSpec:
     inst = _instance_from(doc)
-    caps = tuple(int(doc["capacities"][o]) for o in inst.objects)
-    priorities = tuple(
-        tuple(inst.agent_index(a) for a in doc["priorities"][o]) for o in inst.objects
+    caps = tuple(_capacities(doc, inst))
+    priorities = _mapping(doc["priorities"], "priorities")
+    ranks = tuple(
+        tuple(inst.agent_index(a) for a in _names(priorities[o], f"priority of {o!r}"))
+        for o in inst.objects
     )
-    return SchoolSpec(inst, caps, priorities)
+    return SchoolSpec(inst, caps, ranks)
 
 
 def load_endowment(doc: Mapping[str, Any], inst: Instance) -> Endowment:
     owner = [0] * inst.n
-    for agent, obj in doc.items():
+    for agent, obj in _mapping(doc, "endowment").items():
         if agent in ("agents", "objects"):
             continue
         owner[inst.agent_index(agent)] = inst.object_index(obj)
@@ -171,13 +208,13 @@ def load_endowment(doc: Mapping[str, Any], inst: Instance) -> Endowment:
 
 
 def load_order(doc: Sequence[str], inst: Instance) -> tuple[int, ...]:
-    return tuple(inst.agent_index(a) for a in doc)
+    return tuple(inst.agent_index(a) for a in _names(doc, "order"))
 
 
 def load_marriage_spec(doc: Mapping[str, Any]) -> MarriageSpec:
     inst = _instance_from(doc)
-    men = tuple(inst.agent_index(a) for a in doc["men"])
-    women = tuple(inst.agent_index(a) for a in doc["women"])
+    men = tuple(inst.agent_index(a) for a in _names(doc["men"], "men"))
+    women = tuple(inst.agent_index(a) for a in _names(doc["women"], "women"))
     return MarriageSpec(inst, men, women)
 
 

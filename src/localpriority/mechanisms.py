@@ -111,9 +111,7 @@ def sd_alpha(constraint: Constraint, order: Sequence[int]) -> CompromiserAssignm
     inst = constraint.instance
     order = _check_order(inst, order)
     cells = {}
-    for code in range(inst.num_allocations):
-        if code in constraint.feasible:
-            continue
+    for code in constraint.infeasible_codes:
         x = inst.decode(code)
         pool = constraint.feasible_assignments
         culprit = None
@@ -163,9 +161,7 @@ def da_alpha(spec: SchoolSpec) -> CompromiserAssignment:
     pos = spec.priority_pos()
     constraint = spec.constraint()
     cells = {}
-    for code in range(inst.num_allocations):
-        if code in constraint.feasible:
-            continue
+    for code in constraint.infeasible_codes:
         x = inst.decode(code)
         cell = set()
         for i in range(inst.n):
@@ -226,9 +222,7 @@ def ttc_alpha(endowment: Endowment) -> CompromiserAssignment:
     inst = endowment.instance
     constraint = house_constraint(inst)
     cells = {}
-    for code in range(inst.num_allocations):
-        if code in constraint.feasible:
-            continue
+    for code in constraint.infeasible_codes:
         x = inst.decode(code)
         ptr = [endowment.owner_of(x[i]) for i in range(inst.n)]
         on_cycle = _cycle_nodes(ptr)

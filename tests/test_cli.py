@@ -256,9 +256,21 @@ def test_enumerate_quotient_refuses_an_incomplete_search(extra):
     assert proc.stderr == "error: enumeration incomplete within its budget of 2000 nodes\n"
 
 
+@pytest.mark.parametrize("golden,flags", [
+    ("enumerate_house_quotient_dedupe.jsonl", ["--quotient", "--dedupe"]),
+    ("enumerate_house_budget2000.jsonl", ["--budget", "2000"]),
+])
+def test_enumerate_golden_streams(golden, flags):
+    # the second is a budget-cut prefix, which pins the search's node order
+    proc = run_cli("enumerate", "--constraint", fx("house.json"), *flags)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == (GOLDENS / golden).read_text()
+
+
 def test_enumerate_refuses_oversized_move_tables_up_front(tmp_path):
     # 7 agents, 3 objects: within the profile budget, but the move tables
-    # would hold 2,184 * 2,186 codes and the search would recurse 2,184 deep
+    # would hold 2,184 * 2,186 codes
     path = tmp_path / "social7.json"
     path.write_text(json.dumps({"agents": list("1234567"), "objects": list("abc"), "kind": "social"}))
     start = time.perf_counter()
@@ -514,3 +526,49 @@ def test_missing_mechanism_file_exits_two(args, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: {message}\n"
+
+
+HOUSE = {"agents": ["1", "2", "3"], "objects": ["a", "b", "c"], "kind": "house"}
+SCHOOL = {**HOUSE, "kind": "school", "capacities": {"a": 1, "b": 1, "c": 1}}
+SPEC = {**SCHOOL, "priorities": {"a": ["3", "1", "2"], "b": ["1", "2", "3"], "c": ["1", "2", "3"]}}
+MARRIAGE = {"agents": ["m", "w"], "objects": ["m", "w"], "kind": "two_sided", "men": ["m"], "women": ["w"]}
+DOC = "{doc}"  # stands for the path of the malformed document
+
+
+@pytest.mark.parametrize("args,doc", [
+    (("render", "--constraint", DOC), {**HOUSE, "agents": 5}),
+    (("render", "--constraint", DOC), [HOUSE]),
+    (("render", "--constraint", DOC), {**SCHOOL, "capacities": [1, 1, 1]}),
+    (("render", "--constraint", DOC), {**SCHOOL, "capacities": {"a": 1, "b": None, "c": 1}}),
+    (("render", "--constraint", DOC), {**MARRIAGE, "men": 3}),
+    (("render", "--alpha", DOC), {"agents": ["1", "2"], "objects": ["a", "b"], "cells": [["a,a", ["1"]]]}),
+    (("derive", "--mechanism", "ttc", "--constraint", fx("house.json"), "--endowment", DOC), ["b", "c", "a"]),
+    (("derive", "--mechanism", "da", "--spec", DOC), {**SPEC, "priorities": [["3", "1", "2"]] * 3}),
+    (("derive", "--mechanism", "sd", "--constraint", fx("house.json"), "--order", DOC), "123"),
+    (("render", "--alpha", DOC), {"agents": ["1", "2"], "objects": ["a", "b"],
+                                  "cells": {"a,a": "12", "b,b": ["1"]}}),
+    (("derive", "--mechanism", "da", "--spec", DOC), {**SPEC, "priorities": {**SPEC["priorities"], "a": "312"}}),
+    (("derive", "--mechanism", "sd", "--constraint", DOC, "--order", fx("order_123.json")),
+     {**HOUSE, "objects": ["a,b", "c", "d"]}),
+], ids=[
+    "agents-number", "top-level-list", "capacities-list", "null-capacity", "men-number",
+    "cells-list", "endowment-list", "priorities-list", "order-string", "cell-string",
+    "priority-string", "object-name-with-comma",
+])
+def test_malformed_document_exits_two(tmp_path, args, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(*(str(path) if arg == DOC else arg for arg in args))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_too_deeply_nested_document_exits_two(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    proc = run_cli("render", "--constraint", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {path} nests JSON too deeply\n"

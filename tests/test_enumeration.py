@@ -1,3 +1,4 @@
+import inspect
 import sys
 import time
 
@@ -15,7 +16,6 @@ from localpriority.core import (
 from localpriority.consistency import is_backward_consistent, is_forward_consistent
 from localpriority.engine import is_implementable, tabulate
 from localpriority.enumeration import (
-    LEAF_STACK_DEPTH,
     EnumerationOptions,
     brute_force_consistent,
     constraint_symmetries,
@@ -113,15 +113,18 @@ def test_oversized_move_tables_are_refused_before_any_is_built():
     assert "_moves" not in vars(inst)
 
 
-def test_search_deeper_than_the_recursion_limit_is_refused(house3):
+def test_search_runs_deeper_than_the_recursion_limit():
+    # The search is one loop over the cells, so it takes no stack frame per
+    # cell: with 30 frames to spare it still passes depth 50 on school n=4.
+    constraint = school_constraint(Instance(tuple("1234"), tuple("abc")), (2, 1, 1))
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(house3.infeasible_codes) + LEAF_STACK_DEPTH - 1)
+    sys.setrecursionlimit(len(inspect.stack()) + 30)
     try:
-        with pytest.raises(ScaleLimitError, match="recursion limit"):
-            enumerate_consistent(house3, EnumerationOptions(budget=50))
+        result = enumerate_consistent(constraint, EnumerationOptions(budget=150_000))
     finally:
         sys.setrecursionlimit(limit)
-    assert enumerate_consistent(house3, EnumerationOptions(budget=50)).pruned_nodes
+    assert not result.complete
+    assert result.pruned_nodes == 139_955
 
 
 @pytest.mark.parametrize("name", [

@@ -253,6 +253,21 @@ def test_agent_sets_and_masks_are_converted_only_in_core():
     assert not found, f"conversions outside core: {found}"
 
 
+def test_no_function_in_enumeration_calls_itself():
+    # The search is one loop over the cells with one undo trail, so its
+    # depth takes no stack frames: no function in enumeration.py calls itself.
+    tree = ast.parse((PACKAGE / "enumeration.py").read_text())
+    found = [
+        f"enumeration.py:{node.lineno} {fn.name}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and fn.name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert not found, f"recursive calls in {found}"
+
+
 def test_enumeration_keeps_no_move_tables():
     # The search reads Instance.moves, memoised per instance, where it needs
     # the moves, so every call iterates a for statement and none is stored.
