@@ -6,9 +6,10 @@ strategy-proof one violating backward consistency)."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence
 
 from .core import (
     Assignment,
@@ -20,6 +21,7 @@ from .core import (
 from .engine import (
     MechanismTable,
     NotImplementableError,
+    _walk,
     mechanism_difference,
     tabulate,
     tabulate_function,
@@ -388,63 +390,111 @@ class SearchResult:
     detail: dict
 
 
-def _all_cell_choices(
-    constraint: Constraint,
-) -> Iterator[CompromiserAssignment]:
-    """Every compromiser assignment for a constraint, smallest total cell size
-    first (then lexicographic), so minimal witnesses surface early."""
-    inst = constraint.instance
-    cells = constraint.infeasible_codes
-    by_size: dict[int, list[frozenset[int]]] = {}
-    for agents in inst.agent_sets[1:]:
-        by_size.setdefault(len(agents), []).append(agents)
-    sizes = sorted(by_size)
-
-    def combos(k: int, total: int) -> Iterator[list[frozenset[int]]]:
-        if k == len(cells):
-            if total == 0:
-                yield []
-            return
-        remaining = len(cells) - k - 1
-        for size in sizes:
-            rest = total - size
-            if rest < remaining * sizes[0] or rest > remaining * sizes[-1]:
-                continue
-            for choice in by_size[size]:
-                for tail in combos(k + 1, rest):
-                    yield [choice] + tail
-
-    for total in range(len(cells), inst.n * len(cells) + 1):
-        for combo in combos(0, total):
-            yield CompromiserAssignment(constraint, dict(zip(cells, combo)))
-
-
 def find_pe_not_gsp(
     constraints: Iterable[Constraint], budget: int = 50_000
 ) -> SearchResult | None:
     """Search for an implementable assignment whose table is Pareto efficient
     but bossy (hence not group strategy-proof). Returns None on budget
-    exhaustion, never a fabricated witness."""
+    exhaustion, never a fabricated witness.
+
+    The candidates are every compromiser assignment of each constraint in
+    turn: smallest total cell size first, then, cell by cell in code order,
+    by the mask's size and then the mask, ascending, so minimal witnesses
+    surface early. `examined` counts the candidates in that order up to the
+    witness, skipped ones included, and the search returns None where that
+    count would pass the budget.
+
+    Per total, one depth-first loop over the cells runs `engine._walk`
+    through the assigned cells, parking states at unassigned cells and
+    undoing on backtrack, so each prefix is walked once. It skips a subtree,
+    counting its candidates, where the walk fails:
+    - a run exhausts on the assigned cells, so every completion exhausts;
+    - a run stops at a feasible x whose block is dominated. The block's
+      profiles rank exactly the objects in agent i's prefix at or above
+      x_i, so a feasible y != x with every y_i in agent i's prefix improves
+      on x throughout the block, whatever the later cells hold.
+    Every leaf is thus implementable and Pareto efficient, and only leaves
+    run `is_nonbossy`.
+    """
+    # `examined` never passes the budget: a skip that would pass it returns
+    # None, and so does a leaf once the budget is spent
     examined = 0
+    if budget < 0:
+        return None
     for constraint in constraints:
-        for alpha in _all_cell_choices(constraint):
-            examined += 1
-            if examined > budget:
-                return None
-            try:
-                table = tabulate(alpha)
-            except NotImplementableError:
-                continue
-            bossy = is_nonbossy(table)
-            if bossy.holds:
-                continue
-            pe = is_pareto_efficient(table)
-            if not pe.holds:
-                continue
-            return SearchResult(
-                alpha, table, {"bossiness_witness": bossy.witness, "examined": examined}
-            )
+        inst = constraint.instance
+        inst.check_profile_budget()
+        cells, index = constraint.infeasible_codes, constraint.cell_index
+        n, sets, last = inst.n, inst.agent_sets, len(cells)
+        # the nonempty masks by size, then value
+        order = sorted(range(1, len(sets)), key=lambda mask: (len(sets[mask]), mask))
+        sizes = [len(sets[mask]) for mask in order]
+        # count[d][r]: the ways to fill cells d on with sizes totalling r
+        count = [[1] + [0] * n * last]
+        for _ in cells:
+            count.insert(0, [sum(count[0][r - s] for s in sizes if s <= r) for r in range(n * last + 1)])
+        # per depth: the mask's place in `order`, the size total left for
+        # this cell on, and the trail's length when the cell was entered
+        masks = [0] * last
+        places, lefts, marks = [0] * (last + 1), [0] * (last + 1), [0] * (last + 1)
+        table = [0] * inst.num_profiles
+        parked: list[list[int]] = [[] for _ in cells]
+        trail: list[list[int]] = []
+        # a run that stops at its top-choice vector is never dominated
+        _walk(inst, index, masks, -1, list(inst.prefix_walk.roots), table, parked, trail)
+        dominated = _dominated_prefixes(constraint)
+        for total in range(last, n * last + 1):
+            depth, places[0], lefts[0], marks[0] = 0, -1, total, len(trail)
+            while depth >= 0:
+                if depth == last:
+                    if examined == budget:
+                        return None
+                    examined += 1
+                    mechanism = MechanismTable(constraint, tuple(table))
+                    bossy = is_nonbossy(mechanism)
+                    if not bossy.holds:
+                        alpha = CompromiserAssignment(constraint, dict(zip(cells, map(sets.__getitem__, masks))))
+                        return SearchResult(
+                            alpha, mechanism, {"bossiness_witness": bossy.witness, "examined": examined}
+                        )
+                    depth -= 1
+                    continue
+                while len(trail) > marks[depth]:
+                    trail.pop().pop()
+                # the sizes that leave the later cells between 1 and n each
+                rest = last - depth - 1
+                place = max(places[depth] + 1, bisect.bisect_left(sizes, lefts[depth] - rest * n))
+                if place == bisect.bisect_right(sizes, lefts[depth] - rest):
+                    depth -= 1
+                    continue
+                places[depth], masks[depth] = place, order[place]
+                left = lefts[depth] - sizes[place]
+                if _walk(inst, index, masks, depth, parked[depth][:], table, parked, trail, dominated) is None:
+                    depth += 1
+                    places[depth], lefts[depth], marks[depth] = -1, left, len(trail)
+                elif examined + count[depth + 1][left] > budget:
+                    return None
+                else:
+                    examined += count[depth + 1][left]
     return None
+
+
+def _dominated_prefixes(constraint: Constraint) -> Callable[[int], bool]:
+    """Whether some feasible y other than the walk state's x has every y_i
+    in agent i's prefix, from the state's packed prefixes (bit i*m + o when
+    agent i's prefix holds o), memoised. x lies in its own prefixes, so
+    that is a second feasible allocation within them."""
+    m = constraint.instance.m
+    held = [sum(1 << i * m + obj for i, obj in enumerate(y)) for y in constraint.feasible_assignments]
+    memo: dict[int, bool] = {}
+
+    def dominated(bits: int) -> bool:
+        found = memo.get(bits)
+        if found is None:
+            found = memo[bits] = sum(y & bits == y for y in held) > 1
+        return found
+
+    return dominated
 
 
 def _pick_contingent_dictatorship(

@@ -227,7 +227,8 @@ def _sweep(alpha: CompromiserAssignment, partial: bool) -> tuple[int, ...]:
 
 
 def _walk(inst: Instance, index: Sequence[int], masks: Sequence[int], depth: int,
-          stack: list[int], table: list[int], parked: list[list[int]], log: list[list[int]]) -> int | None:
+          stack: list[int], table: list[int], parked: list[list[int]], log: list[list[int]],
+          rejects: Callable[[int], bool] | None = None) -> int | None:
     """The one prefix walk. It runs the packed states on `stack` (see
     `PrefixWalk`) and returns the first that fails, or None once the stack
     is empty.
@@ -242,6 +243,8 @@ def _walk(inst: Instance, index: Sequence[int], masks: Sequence[int], depth: int
     every object not yet in their prefix. A state fails where its cell is
     empty or a compromiser's prefix holds every object: then every profile in
     its block exhausts on cells 0 to `depth`, whatever the later cells hold.
+    With `rejects`, a state at a feasible allocation whose packed prefixes
+    `rejects` refuses is returned like a failing one, its block unfilled.
     """
     plan = inst.prefix_walk
     code_mask, base_shift, base_mask = plan.code_mask, plan.base_shift, plan.base_mask
@@ -253,7 +256,10 @@ def _walk(inst: Instance, index: Sequence[int], masks: Sequence[int], depth: int
         code = state & code_mask
         k = index[code]
         if k < 0:
-            starts, span = block(state >> bits_shift & bits_mask)
+            bits = state >> bits_shift & bits_mask
+            if rejects is not None and rejects(bits):
+                return state
+            starts, span = block(bits)
             base = state >> base_shift & base_mask
             run = [code] * span
             for s in starts:

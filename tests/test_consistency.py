@@ -12,9 +12,15 @@ from localpriority.core import (
     make_alpha,
     school_constraint,
 )
-from localpriority.engine import mechanisms_equal, tabulate, tabulate_function
+from localpriority import consistency
+from localpriority.engine import _walk, mechanisms_equal, tabulate, tabulate_function
 from localpriority.mechanisms import da_alpha, serial_dictatorship, ttc_alpha
-from localpriority.axioms import derive_alpha, is_group_strategy_proof, is_pareto_efficient
+from localpriority.axioms import (
+    derive_alpha,
+    is_group_strategy_proof,
+    is_nonbossy,
+    is_pareto_efficient,
+)
 from localpriority.consistency import (
     HarnessReport,
     _first_paths,
@@ -287,10 +293,49 @@ def test_find_pe_not_gsp_finds_verified_witness(inst3):
     scarce = school_constraint(inst3, (1, 2, 2))
     result = find_pe_not_gsp([scarce], budget=5_000)
     assert result is not None
-    from localpriority.axioms import is_nonbossy, is_pareto_efficient
-
     assert is_pareto_efficient(result.table).holds
     assert not is_nonbossy(result.table).holds
+
+
+def test_pe_bossy_search_counts_the_empty_assignment_once(monkeypatch, inst3):
+    # With every allocation feasible the one candidate is the empty
+    # assignment, whose table gives everyone their top: nonbossy. Budgets
+    # below one examine nothing.
+    everything = Constraint(inst3, frozenset(range(inst3.num_allocations)), ("explicit",))
+    checked = []
+
+    def recording_nonbossy(table):
+        checked.append(table)
+        return is_nonbossy(table)
+
+    monkeypatch.setattr(consistency, "is_nonbossy", recording_nonbossy)
+    assert find_pe_not_gsp([everything], budget=-1) is None
+    assert find_pe_not_gsp([everything], budget=0) is None
+    assert not checked
+    assert find_pe_not_gsp([everything], budget=1) is None
+    assert len(checked) == 1
+    scarce = school_constraint(inst3, (1, 2, 2))
+    alone = find_pe_not_gsp([scarce], budget=10_000)
+    after = find_pe_not_gsp([everything, scarce], budget=10_000)
+    assert after.detail["examined"] == alone.detail["examined"] + 1 == 3_080
+    assert (after.alpha, after.table) == (alone.alpha, alone.table)
+
+
+def test_pe_bossy_search_stops_inside_a_skipped_subtree(monkeypatch, inst3):
+    # At 3,000 the budget runs out inside a subtree of (1,2,2) that the walk
+    # skips (its witness is candidate 3,079), so the search returns None there
+    # and never reaches the witness of (2,2,1), its 15th candidate.
+    walks = []
+
+    def recording_walk(*args):
+        walks.append(_walk(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(consistency, "_walk", recording_walk)
+    constraints = [school_constraint(inst3, (1, 2, 2)), school_constraint(inst3, (2, 2, 1))]
+    assert find_pe_not_gsp(constraints, budget=3_000) is None
+    assert walks[-1] is not None
+    assert find_pe_not_gsp(constraints, budget=3_079).detail["examined"] == 3_079
 
 
 def test_find_gsp_backward_violation(inst3):

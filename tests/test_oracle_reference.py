@@ -30,11 +30,13 @@ from localpriority.axioms import (
     is_strategy_proof,
 )
 from localpriority.consistency import (
+    SearchResult,
     _backward_failure,
     _first_paths,
     _masks,
     _moved_codes,
     _reach,
+    find_pe_not_gsp,
     is_backward_consistent,
     is_forward_consistent,
 )
@@ -48,6 +50,7 @@ from localpriority.core import (
     make_alpha,
     profile_index,
     profiles_with_tops,
+    school_constraint,
 )
 from localpriority import compare, enumeration
 from localpriority.compare import check_agent_dominance, check_pointwise_dominance
@@ -1188,3 +1191,114 @@ def test_house_with_four_objects_completes(monkeypatch):
     assert result.complete
     assert (result.count, len(reps)) == (38_898, 370)
     assert _orbits(result.representatives) == _orbits(reps)
+
+
+def _all_cell_choices(constraint):
+    """Every compromiser assignment for a constraint, smallest total cell size
+    first (then lexicographic), so minimal witnesses surface early."""
+    inst = constraint.instance
+    cells = constraint.infeasible_codes
+    by_size = {}
+    for agents in inst.agent_sets[1:]:
+        by_size.setdefault(len(agents), []).append(agents)
+    sizes = sorted(by_size)
+
+    def combos(k, total):
+        if k == len(cells):
+            if total == 0:
+                yield []
+            return
+        remaining = len(cells) - k - 1
+        for size in sizes:
+            rest = total - size
+            if rest < remaining * sizes[0] or rest > remaining * sizes[-1]:
+                continue
+            for choice in by_size[size]:
+                for tail in combos(k + 1, rest):
+                    yield [choice] + tail
+
+    for total in range(len(cells), inst.n * len(cells) + 1):
+        for combo in combos(0, total):
+            yield CompromiserAssignment(constraint, dict(zip(cells, combo)))
+
+
+def reference_find_pe_not_gsp(constraints, budget):
+    """Generate and test: tabulate every candidate in order and return the
+    first implementable one whose table is bossy and Pareto efficient."""
+    examined = 0
+    for constraint in constraints:
+        for alpha in _all_cell_choices(constraint):
+            examined += 1
+            if examined > budget:
+                return None
+            try:
+                table = tabulate(alpha)
+            except NotImplementableError:
+                continue
+            bossy = is_nonbossy(table)
+            if bossy.holds:
+                continue
+            if not is_pareto_efficient(table).holds:
+                continue
+            return SearchResult(alpha, table, {"bossiness_witness": bossy.witness, "examined": examined})
+    return None
+
+
+def _school_constraints(n, m):
+    """Every distinct school constraint at n agents and m objects, capacities
+    0 to n."""
+    inst = Instance(tuple("123"[:n]), tuple("abc"[:m]))
+    found = {}
+    for caps in itertools.product(range(n + 1), repeat=m):
+        if sum(caps) >= n:
+            constraint = school_constraint(inst, caps)
+            found.setdefault(constraint.feasible, constraint)
+    return list(found.values())
+
+
+# The (3,3) school constraints whose first witness lies within 20,000
+# candidates, with its `examined`; the other 42 have none there.
+PE_BOSSY_WITNESSES = {
+    (1, 2, 2): 3_079, (1, 2, 3): 1_027, (1, 3, 2): 1_027, (1, 3, 3): 343,
+    (2, 1, 2): 289, (2, 1, 3): 97, (2, 2, 1): 15, (2, 3, 1): 15,
+    (3, 1, 2): 289, (3, 1, 3): 97, (3, 2, 1): 15, (3, 3, 1): 15,
+}
+
+
+def _pe_bossy_cases():
+    """(constraints, budget) for the differential. First the chains, where
+    the examined counts add up across constraints: three seeded ones of two
+    small witness-less (2,3) constraints and one with a witness, and (1,2,2)
+    then (2,2,1) at 3,000, which runs out inside a subtree of (1,2,2) that
+    the walk skips, before the witness of (2,2,1). Then every school
+    constraint at (3,2) and (2,3) at 20,000, each (3,3) witness just out of
+    reach and just in reach, and the other (3,3) constraints at 300."""
+    pairs, small, three = _school_constraints(3, 2), _school_constraints(2, 3), _school_constraints(3, 3)
+    assert len(three) == 54
+    found = pairs + [c for c in three if c.generator[1] in PE_BOSSY_WITNESSES]
+    tiny = [c for c in small if len(c.infeasible_codes) <= 6]
+    cases = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        cases.append((rng.sample(tiny, 2) + [rng.choice(found)], rng.randrange(1, 4_000)))
+    by_caps = {c.generator[1]: c for c in three}
+    cases.append(([by_caps[1, 2, 2], by_caps[2, 2, 1]], 3_000))
+    cases += [([c], 20_000) for c in pairs + small]
+    for c in three:
+        examined = PE_BOSSY_WITNESSES.get(c.generator[1])
+        cases += [([c], examined - 1), ([c], examined)] if examined else [([c], 300)]
+    return cases
+
+
+def test_pe_bossy_search_matches_generate_and_test():
+    # The pruned prefix walk against tabulating every candidate: the same
+    # witness, table, bossiness witness and examined count, or None.
+    witnesses = 0
+    for constraints, budget in _pe_bossy_cases():
+        found = find_pe_not_gsp(constraints, budget=budget)
+        assert found == reference_find_pe_not_gsp(constraints, budget), (
+            [c.generator for c in constraints], budget
+        )
+        witnesses += found is not None
+    # four at (3,2), twelve at (3,3) and two of the three chains
+    assert witnesses == 18

@@ -187,6 +187,21 @@ def test_only_the_completeness_oracle_tabulates_in_enumeration():
     assert callers == ["brute_force_consistent"], f"tabulate called in {callers}"
 
 
+def test_the_pe_bossy_search_tabulates_nothing():
+    # find_pe_not_gsp fills each leaf's table by its own restricted prefix
+    # walk and prunes dominated blocks inside it, so it neither tabulates nor
+    # runs the Pareto oracle; only the bossiness check reads its tables.
+    tree = ast.parse((PACKAGE / "consistency.py").read_text())
+    search = next(
+        top for top in tree.body
+        if isinstance(top, ast.FunctionDef) and top.name == "find_pe_not_gsp"
+    )
+    called = {
+        getattr(node.func, "id", None) for node in ast.walk(search) if isinstance(node, ast.Call)
+    }
+    assert not called & {"tabulate", "is_pareto_efficient"}, sorted(called)
+
+
 def test_one_function_steps_the_packed_prefix_walk():
     # engine._walk is the one prefix walk: tabulate, outcome_codes and the
     # enumeration search all run it, so it is the one function that reads the
@@ -347,11 +362,10 @@ def _references(paths):
 
 def test_every_public_name_has_a_caller_outside_the_tests():
     # The re-exports in __init__ and the benchmark's own tests are not callers.
+    bench = PACKAGE.parents[1] / "perfbench"
+    assert bench.is_dir(), f"no benchmark directory {bench} to read callers from"
     callers = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
-    callers += [
-        path for path in (PACKAGE.parents[1] / "perfbench").glob("*.py")
-        if not path.name.startswith("test_")
-    ]
+    callers += [path for path in bench.glob("*.py") if not path.name.startswith("test_")]
     unused = set(_public_definitions()) - _references(callers)
     test_only = unused - TEST_ONLY_API.keys()
     assert not test_only, f"public names only tests reach: {sorted(test_only)}"
