@@ -55,7 +55,7 @@ from .mechanisms import (
     ttc,
     ttc_alpha,
 )
-from .render import RenderSpec, render
+from .render import render
 
 TABLE_PROPS = {
     "sp": is_strategy_proof,
@@ -201,6 +201,8 @@ def _load_mechanism(args: argparse.Namespace) -> _Mechanism:
 
 def cmd_check(args: argparse.Namespace) -> int:
     props = [p.strip() for p in args.props.split(",") if p.strip()]
+    if not props:
+        raise ValueError(f"--props names no property; choose from {ALL_PROPS}")
     for p in props:
         if p not in ALL_PROPS:
             raise ValueError(f"unknown property {p!r}; choose from {ALL_PROPS}")
@@ -326,7 +328,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         if constraint is None:
             raise ValueError("render needs --alpha or --constraint")
         target = constraint
-    _write(render(target, RenderSpec(args.format)), args.out)
+    _write(render(target, args.format), args.out)
     return 0
 
 

@@ -1,8 +1,9 @@
 """Forward and backward consistency of compromiser assignments (backward
 consistency searches the allocations each agent is i-connected to),
-subset/union equivalences, the consistency-implies-GSP harness, and searches
-for the two existence witnesses (an efficient-but-bossy mechanism and a group
-strategy-proof one violating backward consistency)."""
+subset/union equivalences, and searches for the two existence witnesses (an
+efficient-but-bossy mechanism and a group strategy-proof one violating
+backward consistency). The consistency-implies-GSP harness, which reads the
+enumeration built on this module, lives in `enumeration`."""
 
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from .axioms import (
     derive_alpha,
     is_group_strategy_proof,
     is_nonbossy,
-    is_pareto_efficient,
 )
 from .mechanisms import _dictator_picks, sd_alpha
 
@@ -316,69 +316,6 @@ def verify_union_closure(
     if witness is not None:
         return Verdict("union_closure", False, {"profile": witness})
     return Verdict("union_closure", True)
-
-
-@dataclass(frozen=True)
-class HarnessReport:
-    """Outcome of sweeping every enumerated consistent assignment through the
-    incentive oracles."""
-
-    constraint: Constraint
-    reading: Reading
-    total: int
-    gsp_failures: tuple[dict, ...]
-    pe_failures: tuple[dict, ...]
-    mechanism_count: int
-
-    @property
-    def all_pass(self) -> bool:
-        return not self.gsp_failures and not self.pe_failures
-
-
-def theorem_harness(
-    constraint: Constraint,
-    reading: Reading = "strict",
-    budget: int = 10_000_000,
-) -> HarnessReport:
-    """Enumerate the consistent implementable assignments for a constraint and
-    check every induced table for group strategy-proofness and efficiency.
-    Each distinct table is checked once; its failures are listed for every
-    assignment inducing it, in enumeration order. An enumeration that runs out
-    of its node budget raises ScaleLimitError, since a report on some of the
-    assignments would pass vacuously."""
-    from .enumeration import EnumerationOptions, enumerate_consistent
-
-    opts = EnumerationOptions(
-        reading=reading,
-        require_forward=True,
-        require_backward=True,
-        dedupe_by_mechanism=True,
-        budget=budget,
-    )
-    result = enumerate_consistent(constraint, opts)
-    result.check_complete()
-    verdicts: dict[int, tuple[Verdict, Verdict]] = {}
-    for key, members in result.mechanism_groups.items():
-        table = MechanismTable(constraint, key)
-        pair = (is_group_strategy_proof(table), is_pareto_efficient(table))
-        for k in members:
-            verdicts[k] = pair
-    gsp_failures = []
-    pe_failures = []
-    for k, alpha in enumerate(result.assignments):
-        gsp, pe = verdicts[k]
-        if not gsp.holds:
-            gsp_failures.append({"alpha": alpha, "witness": gsp.witness})
-        if not pe.holds:
-            pe_failures.append({"alpha": alpha, "witness": pe.witness})
-    return HarnessReport(
-        constraint,
-        reading,
-        result.count,
-        tuple(gsp_failures),
-        tuple(pe_failures),
-        result.mechanism_count,
-    )
 
 
 @dataclass(frozen=True)

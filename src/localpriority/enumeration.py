@@ -17,18 +17,24 @@ relabelled by a symmetry of the constraint, so the consistent assignments are
 a union of orbits. The search keeps only each orbit's least cell-mask key, its
 lex-leader (Crawford et al. 1996, "Symmetry-breaking predicates for search
 problems"): it cuts a node as soon as some symmetry maps the assigned prefix to
-a smaller key. `_quotient` then expands every leader into its orbit by
-permutation, in key order, which is the order the unpruned search emits, and
-moves the leader's table onto each member, so members are neither searched,
+a smaller key. `_quotient` then expands every leader into its orbit in one
+loop: each symmetry, the identity first, maps each leader to a member key, and
+the members are emitted in key order, which is the order the unpruned search
+emits; after a budget cut only the keys below the search's frontier are kept.
+The leader's table moves onto each member, so members are neither searched,
 checked nor walked.
+
+`theorem_harness` sweeps every enumerated assignment of a constraint through
+the GSP and Pareto oracles, one check per distinct table.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
+from .axioms import Verdict, is_group_strategy_proof, is_pareto_efficient
 from .core import CompromiserAssignment, Constraint, Instance, ScaleLimitError
 from .consistency import (
     Reading,
@@ -38,7 +44,7 @@ from .consistency import (
     is_backward_consistent,
     is_forward_consistent,
 )
-from .engine import NotImplementableError, _walk, tabulate
+from .engine import MechanismTable, NotImplementableError, _walk, tabulate
 
 # Codes the search's tables may leave in `Instance.moves`' memo,
 # |cells| * (m^n - 1): every 4-agent instance within the profile budget needs
@@ -447,49 +453,31 @@ def _quotient(search: _Search) -> tuple[
     member's assignment in key order, the mechanism groups (with dedupe) and
     each leader with its orbit size. A member's table is its leader's table
     moved by the symmetry that made it, built in key order while grouping.
-    After a budget cut only the members below the search's frontier are kept:
-    every key there was searched in full, so the list is a prefix of the
-    complete one."""
+    After a budget cut only the keys below the search's frontier are kept:
+    tuple order is the search's emission order, so the search covered every
+    one of them in full, and the list is a prefix of the complete one."""
     constraint, frontier, tables = search.constraint, search.frontier, search.tables
     inst = constraint.instance
-    # The members in key order, each as (key, leader, symmetry that made it).
-    order: Iterable[tuple[tuple[int, ...], int, int]]
-    if len(search.group) == 1:
-        # Each leader is its own orbit, and the search emitted the leaders in
-        # key order, all below its frontier.
-        sizes = [1] * len(search.leaders)
-        order = ((key, k, 0) for k, key in enumerate(search.leaders))
-    else:
-        # Each member's key, mapped to its leader and symmetry. Orbits are
-        # disjoint, so a key already claimed is the same member again; the
-        # identity, symmetry 0, claims every leader's own key first.
-        members: dict[tuple[int, ...], tuple[int, int]] = {}
-        sizes = [0] * len(search.leaders)
-        for s, g in enumerate(search.group):
-            pre, mask_map = g.pre, g.mask_map
-            for k, leader in enumerate(search.leaders):
-                if frontier is not None:
-                    # most members of a cut search lie past the frontier's first mask
-                    if mask_map[leader[pre[0]]] > frontier[0]:
-                        continue
-                    for j, bound in enumerate(frontier):
-                        moved = mask_map[leader[pre[j]]]
-                        if moved != bound:
-                            break
-                    if moved >= bound:
-                        continue
-                key = tuple([mask_map[leader[j]] for j in pre]) if s else leader
-                if key not in members:
-                    members[key] = (k, s)
-                    sizes[k] += 1
-        order = ((key, *members[key]) for key in sorted(members))
+    # Each member's key, mapped to its leader and symmetry. Orbits are
+    # disjoint, so a key already claimed is the same member again; the
+    # identity, symmetry 0, claims every leader's own key first.
+    members: dict[tuple[int, ...], tuple[int, int]] = {}
+    sizes = [0] * len(search.leaders)
+    for s, g in enumerate(search.group):
+        pre, mask_map = g.pre, g.mask_map
+        for k, leader in enumerate(search.leaders):
+            key = tuple([mask_map[leader[j]] for j in pre])
+            if (frontier is None or key < frontier) and key not in members:
+                members[key] = (k, s)
+                sizes[k] += 1
 
     sets, cells = inst.agent_sets, constraint.infeasible_codes
     assignments: list[CompromiserAssignment] = []
     representatives: list[tuple[CompromiserAssignment, int]] = []
     groups: dict[tuple[int, ...], list[int]] | None = None if tables is None else {}
     moves: dict[int, Callable[[tuple[int, ...]], tuple[int, ...]]] = {}
-    for key, k, s in order:
+    for key in sorted(members):
+        k, s = members[key]
         alpha = CompromiserAssignment(constraint, dict(zip(cells, map(sets.__getitem__, key))))
         if s == 0:
             representatives.append((alpha, sizes[k]))
@@ -527,3 +515,64 @@ def brute_force_consistent(
             continue
         out.append(alpha)
     return out
+
+
+@dataclass(frozen=True)
+class HarnessReport:
+    """Outcome of sweeping every enumerated consistent assignment through the
+    incentive oracles."""
+
+    constraint: Constraint
+    reading: Reading
+    total: int
+    gsp_failures: tuple[dict, ...]
+    pe_failures: tuple[dict, ...]
+    mechanism_count: int
+
+    @property
+    def all_pass(self) -> bool:
+        return not self.gsp_failures and not self.pe_failures
+
+
+def theorem_harness(
+    constraint: Constraint,
+    reading: Reading = "strict",
+    budget: int = 10_000_000,
+) -> HarnessReport:
+    """Enumerate the consistent implementable assignments for a constraint and
+    check every induced table for group strategy-proofness and efficiency.
+    Each distinct table is checked once; its failures are listed for every
+    assignment inducing it, in enumeration order. An enumeration that runs out
+    of its node budget raises ScaleLimitError, since a report on some of the
+    assignments would pass vacuously."""
+    opts = EnumerationOptions(
+        reading=reading,
+        require_forward=True,
+        require_backward=True,
+        dedupe_by_mechanism=True,
+        budget=budget,
+    )
+    result = enumerate_consistent(constraint, opts)
+    result.check_complete()
+    verdicts: dict[int, tuple[Verdict, Verdict]] = {}
+    for key, members in result.mechanism_groups.items():
+        table = MechanismTable(constraint, key)
+        pair = (is_group_strategy_proof(table), is_pareto_efficient(table))
+        for k in members:
+            verdicts[k] = pair
+    gsp_failures = []
+    pe_failures = []
+    for k, alpha in enumerate(result.assignments):
+        gsp, pe = verdicts[k]
+        if not gsp.holds:
+            gsp_failures.append({"alpha": alpha, "witness": gsp.witness})
+        if not pe.holds:
+            pe_failures.append({"alpha": alpha, "witness": pe.witness})
+    return HarnessReport(
+        constraint,
+        reading,
+        result.count,
+        tuple(gsp_failures),
+        tuple(pe_failures),
+        result.mechanism_count,
+    )

@@ -226,7 +226,6 @@ _AGENT_KEYS = {
     "alpha_y",
     "alpha_x_prime",
     "missing",
-    "dictator_order",
 }
 _ALLOCATION_KEYS = {
     "mu",

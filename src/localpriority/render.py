@@ -8,28 +8,20 @@ infeasible cells show the compromiser names in brackets (ASCII) or shaded
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import CompromiserAssignment, Constraint, Instance
 
 RENDER_FORMATS = ("ascii", "svg")
 FEASIBLE_MARK = "·"
+# Names go into SVG text as character data, where only these three are
+# markup; `html.escape` would cost every `lp` process the html5 entity table.
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    format: str = "ascii"
-
-    def __post_init__(self) -> None:
-        if self.format not in RENDER_FORMATS:
-            raise ValueError(f"format must be one of {RENDER_FORMATS}")
-
-
-def render(
-    target: CompromiserAssignment | Constraint, spec: RenderSpec = RenderSpec()
-) -> str:
+def render(target: CompromiserAssignment | Constraint, fmt: str = "ascii") -> str:
     """Render a constraint (feasibility only) or an assignment (with
-    compromiser labels) as a grid document."""
+    compromiser labels) as a grid document in one of `RENDER_FORMATS`."""
+    if fmt not in RENDER_FORMATS:
+        raise ValueError(f"format must be one of {RENDER_FORMATS}")
     if isinstance(target, CompromiserAssignment):
         constraint, alpha = target.constraint, target
     else:
@@ -37,7 +29,7 @@ def render(
     inst = constraint.instance
     if not 2 <= inst.n <= 4:
         raise ValueError("only 2, 3, or 4 agents are renderable")
-    if spec.format == "ascii":
+    if fmt == "ascii":
         return _render_ascii(constraint, alpha)
     return _render_svg(constraint, alpha)
 
@@ -141,14 +133,14 @@ def _render_svg(constraint: Constraint, alpha: CompromiserAssignment | None) -> 
             ox = 4 + p * (panel_w + gap) + pad
             oy = 4 + q * (panel_h + gap) + pad
             if title:
-                parts.append(f'<text x="{ox}" y="{oy - 22}">{title}</text>')
+                parts.append(f'<text x="{ox}" y="{oy - 22}">{title.translate(_XML_TEXT)}</text>')
             for c in range(inst.m):
                 parts.append(
-                    f'<text x="{ox + c * cell + 4}" y="{oy - 6}">{inst.objects[c]}</text>'
+                    f'<text x="{ox + c * cell + 4}" y="{oy - 6}">{inst.objects[c].translate(_XML_TEXT)}</text>'
                 )
             for r in range(inst.m):
                 parts.append(
-                    f'<text x="{ox - 14}" y="{oy + r * cell + 26}">{inst.objects[r]}</text>'
+                    f'<text x="{ox - 14}" y="{oy + r * cell + 26}">{inst.objects[r].translate(_XML_TEXT)}</text>'
                 )
                 for c in range(inst.m):
                     code = inst.encode((r, c) + fixed)
@@ -162,7 +154,7 @@ def _render_svg(constraint: Constraint, alpha: CompromiserAssignment | None) -> 
                     if not feasible and alpha is not None:
                         names = " ".join(
                             inst.agents[i] for i in sorted(alpha.cells[code])
-                        )
+                        ).translate(_XML_TEXT)
                         parts.append(
                             f'<text x="{x + 4}" y="{y + 26}">{names}</text>'
                         )

@@ -177,6 +177,16 @@ def test_check_unknown_prop_exits_two():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("props", [",", "", " , "])
+def test_check_without_properties_exits_two(props):
+    # a check that ran no property has nothing to report as holding
+    proc = run_cli("check", "--props", props, "--alpha", fx("da_alpha.json"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: --props names no property")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_derive_roundtrip(tmp_path):
     out = tmp_path / "alpha.json"
     proc = run_cli(

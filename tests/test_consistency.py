@@ -22,7 +22,6 @@ from localpriority.axioms import (
     is_pareto_efficient,
 )
 from localpriority.consistency import (
-    HarnessReport,
     _first_paths,
     _gsp_backward_candidates,
     _masks,
@@ -31,12 +30,16 @@ from localpriority.consistency import (
     find_pe_not_gsp,
     is_backward_consistent,
     is_forward_consistent,
-    theorem_harness,
     validate_connection_path,
     verify_subset_equivalence,
     verify_union_closure,
 )
-from localpriority.enumeration import EnumerationOptions, enumerate_consistent
+from localpriority.enumeration import (
+    EnumerationOptions,
+    HarnessReport,
+    enumerate_consistent,
+    theorem_harness,
+)
 from localpriority.fileio import load_alpha
 
 from conftest import A, B, C, FIXTURES

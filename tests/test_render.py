@@ -1,8 +1,10 @@
+from xml.dom import minidom
+
 import pytest
 
 from localpriority.core import Constraint, Instance, make_alpha
 from localpriority.mechanisms import da_alpha, ttc_alpha
-from localpriority.render import RenderSpec, render
+from localpriority.render import render
 
 from conftest import GOLDENS
 
@@ -42,7 +44,7 @@ def test_two_agent_render_single_grid(nonunique_alphas):
     doc = render(alpha_full)
     assert "[1 2]" in doc
     assert len(doc.splitlines()) == 4  # header plus one row per object
-    svg = render(alpha_full, RenderSpec("svg"))
+    svg = render(alpha_full, "svg")
     assert svg == (GOLDENS / "nonunique_alpha_I.svg").read_text()
 
 
@@ -56,7 +58,7 @@ def test_four_agent_render(inst3):
     doc = render(alpha)
     assert "3=a 4=a" in doc and "3=b 4=b" in doc
     assert doc == (GOLDENS / "four_agent.txt").read_text()
-    assert render(alpha, RenderSpec("svg")) == (GOLDENS / "four_agent.svg").read_text()
+    assert render(alpha, "svg") == (GOLDENS / "four_agent.svg").read_text()
 
 
 def test_one_agent_not_renderable():
@@ -75,14 +77,25 @@ def test_five_agents_not_renderable():
 
 def test_svg_render(da_spec):
     alpha = da_alpha(da_spec)
-    doc = render(alpha, RenderSpec("svg"))
+    doc = render(alpha, "svg")
     assert doc.startswith("<svg")
-    assert doc == render(alpha, RenderSpec("svg"))
+    assert doc == render(alpha, "svg")
     assert doc == (GOLDENS / "da_alpha.svg").read_text()
     assert doc.count('fill="#cccccc"') == len(alpha.cells)
     assert doc.count('fill="#ffffff"') == 27 - len(alpha.cells)
 
 
-def test_unknown_format_rejected():
-    with pytest.raises(ValueError):
-        RenderSpec("png")
+def test_unknown_format_rejected(house3):
+    with pytest.raises(ValueError, match="format"):
+        render(house3, "png")
+
+
+def test_svg_escapes_names():
+    # names with XML markup characters stay text, and the document parses
+    inst = Instance(("1", "<2>", "3&"), ("a&b", "<c>"))
+    constraint = Constraint(inst, frozenset({0, 7}), ("explicit",))
+    alpha = make_alpha(constraint, {c: {0, 1, 2} for c in constraint.infeasible_codes})
+    doc = minidom.parseString(render(alpha, "svg"))
+    texts = [node.firstChild.data for node in doc.getElementsByTagName("text")]
+    assert "3&=a&b" in texts and "<c>" in texts
+    assert texts.count("1 <2> 3&") == len(constraint.infeasible_codes)

@@ -23,6 +23,16 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in {found}"
 
 
+def test_no_imports_inside_functions():
+    # Every module imports at its top, so the layering is read off the module
+    # headers and no function hides an import cycle.
+    found = _find(
+        lambda node: isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(inner, (ast.Import, ast.ImportFrom)) for inner in ast.walk(node))
+    )
+    assert not found, f"functions that import: {found}"
+
+
 def test_no_lru_cache_in_package():
     # Derived per-instance data lives on the object as a cached_property, not
     # in a process-wide cache keyed by instances.
