@@ -418,9 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on first use."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

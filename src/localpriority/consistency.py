@@ -197,13 +197,22 @@ def is_backward_consistent(
 def _stray(
     inst: Instance, masks: Sequence[int], x_code: int, agent: int, mask: int, strict: bool
 ) -> int | None:
-    """The first x' moved from x by the agents in `mask` (x itself included,
-    ascending by code) where `agent` is not a compromiser; the relaxed
-    reading passes over feasible x'. `masks` is as `_masks` gives it."""
-    for xp_code, _ in _moved_codes(inst, x_code, mask):
-        if not masks[xp_code] >> agent & 1 and (strict or masks[xp_code]):
-            return xp_code
-    return None
+    """The least x' moved from x by the agents in `mask` where `agent` is
+    not a compromiser; the relaxed reading passes over feasible x'. `agent`
+    compromises at x, so x itself is never one. `masks` is as `_masks`
+    gives it. Scans the moves of each submask and keeps the least, so
+    nothing is sorted."""
+    bit = 1 << agent
+    found = None
+    sub = mask
+    while sub:
+        for xp_code in inst.moves(x_code, sub):
+            if not masks[xp_code] & bit and (strict or masks[xp_code]) and (
+                found is None or xp_code < found
+            ):
+                found = xp_code
+        sub = (sub - 1) & mask
+    return found
 
 
 def _backward_failure(

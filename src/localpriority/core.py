@@ -157,6 +157,19 @@ class Instance:
         return {agents: mask for mask, agents in enumerate(self.agent_sets)}
 
     @cached_property
+    def cell_values(self) -> frozenset[frozenset[int]]:
+        """The nonempty agent sets: every value a cell may hold."""
+        return frozenset(self.agent_sets[1:])
+
+    @cached_property
+    def agent_set_names(self) -> dict[frozenset[int], tuple[str, ...]]:
+        """Each agent set's agent names, in agent order."""
+        return {
+            agents: tuple(map(self.agents.__getitem__, members))
+            for agents, members in zip(self.agent_sets, self.members)
+        }
+
+    @cached_property
     def prefix_walk(self) -> PrefixWalk:
         """The packing constants of `engine._walk` on this instance."""
         n, m, fact = self.n, self.m, self.factorials
@@ -278,6 +291,13 @@ class Instance:
     def decode_table(self) -> tuple[Assignment, ...]:
         """Every assignment by code. Dense, so only table sweeps build it."""
         return tuple(self.all_assignments())
+
+    @cached_property
+    def code_names(self) -> tuple[tuple[str, ...], ...]:
+        """Every allocation's object names by code: the one conversion from
+        a code to names. Dense, like `decode_table`, so only writers and
+        error messages build it."""
+        return tuple(map(self.assignment_names, self.all_assignments()))
 
     @cached_property
     def _parts(self) -> dict[int, tuple[int, ...]]:
@@ -428,6 +448,11 @@ class Constraint:
         return tuple(c for c in range(self.instance.num_allocations) if c not in self.feasible)
 
     @cached_property
+    def infeasible_set(self) -> frozenset[int]:
+        """`infeasible_codes` as a set: the keys of every compromiser assignment."""
+        return frozenset(self.infeasible_codes)
+
+    @cached_property
     def cell_index(self) -> tuple[int, ...]:
         """Each allocation's place in `infeasible_codes`, by code; -1 where
         the allocation is feasible."""
@@ -528,29 +553,42 @@ class CompromiserAssignment:
     cells: Mapping[int, frozenset[int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Valid exactly when the cells sit on the infeasible codes and each
+        # holds a nonempty agent set: two set comparisons decide it. An
+        # unhashable value is not an agent set. Only a failing assignment
+        # runs `_explain`, which names the problem.
+        try:
+            valid = (
+                self.cells.keys() == self.constraint.infeasible_set
+                and self.constraint.instance.cell_values.issuperset(self.cells.values())
+            )
+        except TypeError:
+            valid = False
+        if not valid:
+            self._explain()
+
+    def _explain(self) -> None:
+        """Raise `MalformedAssignmentError` naming the first problem: cell by
+        cell in mapping order, then the first missing cell by code. Where
+        the loop finds none (agents that compare equal to valid indices
+        without being ints, say), the assignment stands."""
         inst = self.constraint.instance
         feasible = self.constraint.feasible
         for code, agents in self.cells.items():
             if not 0 <= code < inst.num_allocations:
                 raise MalformedAssignmentError(f"cell code {code} out of range")
             if code in feasible:
-                raise MalformedAssignmentError(
-                    f"cell on feasible allocation {inst.assignment_names(inst.decode(code))}"
-                )
+                raise MalformedAssignmentError(f"cell on feasible allocation {inst.code_names[code]}")
             if not agents:
-                raise MalformedAssignmentError(
-                    f"empty cell at {inst.assignment_names(inst.decode(code))}"
-                )
+                raise MalformedAssignmentError(f"empty cell at {inst.code_names[code]}")
             if not isinstance(agents, frozenset):
-                names, kind = inst.assignment_names(inst.decode(code)), type(agents).__name__
+                names, kind = inst.code_names[code], type(agents).__name__
                 raise MalformedAssignmentError(f"cell at {names} is a {kind}, not a frozenset")
             if any(not 0 <= i < inst.n for i in agents):
                 raise MalformedAssignmentError(f"invalid agent index in cell {code}")
         for code in range(inst.num_allocations):
             if code not in feasible and code not in self.cells:
-                raise MalformedAssignmentError(
-                    f"missing cell at infeasible {inst.assignment_names(inst.decode(code))}"
-                )
+                raise MalformedAssignmentError(f"missing cell at infeasible {inst.code_names[code]}")
 
     @property
     def instance(self) -> Instance:

@@ -220,8 +220,7 @@ def _sweep(alpha: CompromiserAssignment, partial: bool) -> tuple[int, ...]:
     code = first & code_mask
     mask = masks[index[code]]
     if not mask:
-        x = inst.assignment_names(inst.decode(code))
-        raise MalformedAssignmentError(f"missing or empty cell at infeasible {x}")
+        raise MalformedAssignmentError(f"missing or empty cell at infeasible {inst.code_names[code]}")
     tired = [i for i in inst.members[mask] if first >> plan.shifts[i] & plan.full == plan.full]
     raise NotImplementableError(inst.profile_at(lowest), tired[0], first // plan.step + 1)
 

@@ -31,6 +31,7 @@ the GSP and Pareto oracles, one check per distinct table.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -154,8 +155,12 @@ def _moved_table(
         ranks = [rank[tuple(back[o] for o in pref)] * stride for pref in prefs]
         source = [s + r for s in source for r in ranks]
 
+    # itemgetter hands back a bare entry for one index; one profile (m = 1)
+    # is its own source, so its table gathers to itself.
+    gather = operator.itemgetter(*source) if len(source) > 1 else tuple
+
     def move(table: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(map(codes.__getitem__, map(table.__getitem__, source)))
+        return tuple(map(codes.__getitem__, gather(table)))
 
     return move
 
@@ -466,7 +471,7 @@ def _quotient(search: _Search) -> tuple[
     for s, g in enumerate(search.group):
         pre, mask_map = g.pre, g.mask_map
         for k, leader in enumerate(search.leaders):
-            key = tuple([mask_map[leader[j]] for j in pre])
+            key = tuple(map(mask_map.__getitem__, map(leader.__getitem__, pre)))
             if (frontier is None or key < frontier) and key not in members:
                 members[key] = (k, s)
                 sizes[k] += 1

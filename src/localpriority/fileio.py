@@ -110,15 +110,8 @@ def dump_constraint(constraint: Constraint) -> dict:
         doc["men"] = [inst.agents[i] for i in constraint.generator[1]]
         doc["women"] = [inst.agents[i] for i in constraint.generator[2]]
     elif kind == "explicit":
-        doc["feasible"] = [
-            list(inst.assignment_names(inst.decode(c)))
-            for c in sorted(constraint.feasible)
-        ]
+        doc["feasible"] = [list(inst.code_names[c]) for c in sorted(constraint.feasible)]
     return doc
-
-
-def allocation_key(inst: Instance, assignment: Sequence[int]) -> str:
-    return ",".join(inst.assignment_names(assignment))
 
 
 def parse_allocation_key(inst: Instance, key: str) -> Assignment:
@@ -154,14 +147,15 @@ def load_alpha(
 
 
 def dump_alpha(alpha: CompromiserAssignment) -> dict:
+    """An assignment's document. Each cell reads its allocation's names and
+    its agents' names off the instance's tables."""
     inst = alpha.instance
+    names, agent_names = inst.code_names, inst.agent_set_names
     return {
         "agents": list(inst.agents),
         "objects": list(inst.objects),
         "cells": {
-            allocation_key(inst, inst.decode(code)): [
-                inst.agents[i] for i in sorted(agents)
-            ]
+            ",".join(names[code]): list(agent_names[agents])
             for code, agents in alpha.cells.items()
         },
     }

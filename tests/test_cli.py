@@ -267,12 +267,15 @@ def test_enumerate_quotient_refuses_an_incomplete_search(extra):
 
 
 @pytest.mark.parametrize("golden,flags", [
-    ("enumerate_house_quotient_dedupe.jsonl", ["--quotient", "--dedupe"]),
-    ("enumerate_house_budget2000.jsonl", ["--budget", "2000"]),
+    ("enumerate_house_quotient_dedupe.jsonl", ["--constraint", fx("house.json"), "--quotient", "--dedupe"]),
+    ("enumerate_house_budget2000.jsonl", ["--constraint", fx("house.json"), "--budget", "2000"]),
+    ("enumerate_house_allsame_dedupe.jsonl", ["--constraint", fx("house_allsame.json"), "--dedupe"]),
 ])
 def test_enumerate_golden_streams(golden, flags):
-    # the second is a budget-cut prefix, which pins the search's node order
-    proc = run_cli("enumerate", "--constraint", fx("house.json"), *flags)
+    # the second is a budget-cut prefix, which pins the search's node order;
+    # the third, house n=3 plus a,a,a, pins the assignment writer and each
+    # mechanism group's first member
+    proc = run_cli("enumerate", *flags)
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout == (GOLDENS / golden).read_text()

@@ -1302,3 +1302,115 @@ def test_pe_bossy_search_matches_generate_and_test():
         witnesses += found is not None
     # four at (3,2), twelve at (3,3) and two of the three chains
     assert witnesses == 18
+
+
+def reference_validate(constraint, cells):
+    """The per-cell loop that once validated every assignment: the message
+    of the first problem, cell by cell and then the missing cells, or None."""
+    inst, feasible = constraint.instance, constraint.feasible
+
+    def names(code):
+        return inst.assignment_names(inst.decode(code))
+
+    for code, agents in cells.items():
+        if not 0 <= code < inst.num_allocations:
+            return f"cell code {code} out of range"
+        if code in feasible:
+            return f"cell on feasible allocation {names(code)}"
+        if not agents:
+            return f"empty cell at {names(code)}"
+        if not isinstance(agents, frozenset):
+            return f"cell at {names(code)} is a {type(agents).__name__}, not a frozenset"
+        if any(not 0 <= i < inst.n for i in agents):
+            return f"invalid agent index in cell {code}"
+    for code in range(inst.num_allocations):
+        if code not in feasible and code not in cells:
+            return f"missing cell at infeasible {names(code)}"
+    return None
+
+
+def _validation_agrees(constraint, cells):
+    """The constructor accepts where the reference finds no problem, and
+    otherwise raises the reference's message."""
+    expected = reference_validate(constraint, cells)
+    try:
+        CompromiserAssignment(constraint, cells)
+    except MalformedAssignmentError as exc:
+        assert str(exc) == expected, cells
+    else:
+        assert expected is None, cells
+    return expected
+
+
+class _Agents(frozenset):
+    """A frozenset subclass, which a cell may hold."""
+
+
+def _put(place, value):
+    """An edit that sets one cell; `place` picks its code off the constraint."""
+    return lambda c, cells: {**cells, place(c): value}
+
+
+def _first(c):
+    return c.infeasible_codes[0]
+
+
+def _last(c):
+    return c.infeasible_codes[-1]
+
+
+# Each edit turns the valid cells of a constraint (agent 0 at every
+# infeasible code) into the case it names.
+VALIDATION_CASES = {
+    "valid": lambda c, cells: cells,
+    "feasible code": _put(lambda c: min(c.feasible), frozenset({0})),
+    "code past the last": _put(lambda c: c.instance.num_allocations, frozenset({0})),
+    "negative code": _put(lambda c: -1, frozenset({0})),
+    "missing first cell": lambda c, cells: {k: v for k, v in cells.items() if k != _first(c)},
+    "missing last cell": lambda c, cells: {k: v for k, v in cells.items() if k != _last(c)},
+    "empty frozenset": _put(_last, frozenset()),
+    "agent index n": lambda c, cells: {**cells, _first(c): frozenset({0, c.instance.n})},
+    "agent index -1": _put(_last, frozenset({-1})),
+    "set": _put(_first, {0}),
+    "empty set": _put(_first, set()),
+    "list": _put(_last, [0, 1]),
+    "tuple": _put(_last, (1,)),
+    "empty tuple": _put(_first, ()),
+    "frozenset subclass": _put(_first, _Agents({0, 1})),
+    "every cell a subclass": lambda c, cells: {k: _Agents(v) for k, v in cells.items()},
+}
+ACCEPTED = {"valid", "frozenset subclass", "every cell a subclass"}
+
+
+@pytest.mark.parametrize("case", VALIDATION_CASES)
+def test_assignment_validation_matches_the_per_cell_loop(house3, case):
+    cells = {code: frozenset({0}) for code in house3.infeasible_codes}
+    expected = _validation_agrees(house3, VALIDATION_CASES[case](house3, cells))
+    assert (expected is None) == (case in ACCEPTED), expected
+
+
+@st.composite
+def _cell_dicts(draw):
+    """A constraint on two agents and a dict near its valid cells: most
+    infeasible codes and a few others (one past either end included) get a
+    cell, and a cell is mostly a nonempty frozenset of agents, otherwise a
+    subclass, set, list or tuple, possibly empty or holding an index one past
+    either end."""
+    inst = _two_agent_instance(draw)
+    feasible = draw(st.sets(st.sampled_from(range(inst.num_allocations)), min_size=1))
+    constraint = Constraint(inst, frozenset(feasible))
+    kinds = st.sampled_from((frozenset,) * 4 + (_Agents, set, list, tuple))
+    members = st.lists(st.integers(0, inst.n - 1), min_size=1, max_size=2) | st.lists(
+        st.integers(-1, inst.n), max_size=3
+    )
+    cells = {}
+    for code in range(-1, inst.num_allocations + 1):
+        if draw(st.integers(0, 15)) < (15 if code in constraint.infeasible_set else 1):
+            cells[code] = draw(kinds)(draw(members))
+    return constraint, cells
+
+
+@given(_cell_dicts())
+@settings(max_examples=300, deadline=None)
+def test_assignment_validation_matches_the_per_cell_loop_on_generated_dicts(case):
+    _validation_agrees(*case)

@@ -49,6 +49,24 @@ def test_no_lru_cache_in_package():
     assert not found, f"lru_cache in {found}"
 
 
+def test_codes_become_names_only_through_the_name_table():
+    # Instance.code_names is the one conversion from an allocation code to
+    # object names: outside core.py no code decodes a code only to name it.
+    def names_a_decoded_code(node):
+        return (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "assignment_names"
+            and any(
+                isinstance(inner, ast.Call) and getattr(inner.func, "attr", None) == "decode"
+                for arg in node.args
+                for inner in ast.walk(arg)
+            )
+        )
+
+    found = [place for place in _find(names_a_decoded_code) if not place.startswith("core.py:")]
+    assert not found, f"codes decoded to names in {found}"
+
+
 def test_consistency_and_enumeration_encode_no_moves():
     # Moved allocations come from Instance.moves on codes. The naive path
     # re-check is the one place that encodes, because it takes decoded paths.
