@@ -198,9 +198,10 @@ def is_maskin_monotonic(f: MechanismTable) -> Verdict:
     table, dec, strides, n, m = f.table, inst.decode_table, inst.strides, inst.n, inst.m
     # A ranking's lower contour set at obj contains a given set of c objects
     # iff it ranks obj first among those c + 1 objects, as k / (c + 1) of the
-    # k rankings do. At place t, obj has c = m - 1 - t objects below it.
+    # k rankings do. With u objects at or above obj, c = m - u are below it.
     k = len(inst.all_preferences())
-    widths = [[k // (m - t) for t in row] for row in inst.positions]
+    weak = inst.weakly_better
+    widths = [[k // (m + 1 - upper.bit_count()) for upper in row] for row in weak]
     pairs = 0
     for pranks, xc in zip(inst.rank_tuples(), table):
         pairs += math.prod(widths[r][obj] for r, obj in zip(pranks, dec[xc]))
@@ -208,7 +209,6 @@ def is_maskin_monotonic(f: MechanismTable) -> Verdict:
             raise ScaleLimitError("profile-pair sweep exceeds the Maskin budget")
     # A ranking's lower contour set at obj contains another's iff the objects
     # it places at or above obj are among the other's.
-    weak = inst.weakly_better
     # axes[i, obj, upper]: ascending index offsets of agent i's rankings that
     # place at or above obj only objects in the bitmask upper
     axes: dict[tuple[int, int, int], tuple[int, ...]] = {}
@@ -241,34 +241,50 @@ def is_maskin_monotonic(f: MechanismTable) -> Verdict:
     return Verdict("maskin_monotonic", True)
 
 
+def _feasible_within(constraint: Constraint) -> Callable[[int], tuple[int, ...]]:
+    """The one Pareto test. From packed upper sets (bit i*m + o when agent i
+    weakly prefers o to what they hold), memoised, the places in
+    `feasible_assignments` of the first two feasible allocations whose every
+    y_i lies in agent i's upper set. The allocation held lies in its own
+    upper sets, so a second match Pareto-improves on it."""
+    m = constraint.instance.m
+    held = [sum(1 << i * m + obj for i, obj in enumerate(y)) for y in constraint.feasible_assignments]
+    memo: dict[int, tuple[int, ...]] = {}
+
+    def within(bits: int) -> tuple[int, ...]:
+        found = memo.get(bits)
+        if found is None:
+            found = memo[bits] = tuple(itertools.islice((k for k, y in enumerate(held) if y & bits == y), 2))
+        return found
+
+    return within
+
+
 def is_pareto_efficient(f: MechanismTable) -> Verdict:
     """No feasible allocation weakly improves on the outcome for everyone and
     strictly for someone, at any profile."""
     inst = f.instance
-    table, dec, pos, n = f.table, inst.decode_table, inst.positions, inst.n
+    dec, m = inst.decode_table, inst.m
     feasible = f.constraint.feasible_assignments
-    for pidx, pranks in enumerate(inst.rank_tuples()):
-        x = dec[table[pidx]]
-        xpos = tuple(pos[pranks[i]][x[i]] for i in range(n))
-        for y in feasible:
-            better = 0
-            for i in range(n):
-                yp = pos[pranks[i]][y[i]]
-                if yp > xpos[i]:
-                    better = -1
-                    break
-                if yp < xpos[i]:
-                    better += 1
-            if better > 0:
-                return Verdict(
-                    "pareto_efficient",
-                    False,
-                    {
-                        "profile": inst.profile_at(pidx),
-                        "outcome": x,
-                        "improvement": y,
-                    },
-                )
+    within = _feasible_within(f.constraint)
+    # upper[i][rank][obj]: `weakly_better[rank][obj]` at agent i's bits
+    upper = [[tuple(objs << i * m for objs in row) for row in inst.weakly_better] for i in range(inst.n)]
+    for pidx, (pranks, xc) in enumerate(zip(inst.rank_tuples(), f.table)):
+        bits = 0
+        for rows, r, obj in zip(upper, pranks, dec[xc]):
+            bits |= rows[r][obj]
+        found = within(bits)
+        if len(found) > 1:
+            x = dec[xc]
+            return Verdict(
+                "pareto_efficient",
+                False,
+                {
+                    "profile": inst.profile_at(pidx),
+                    "outcome": x,
+                    "improvement": next(feasible[k] for k in found if feasible[k] != x),
+                },
+            )
     return Verdict("pareto_efficient", True)
 
 

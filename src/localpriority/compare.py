@@ -36,14 +36,14 @@ def _welfare_sweep(
     codes = (outcome_codes(alpha), outcome_codes(alpha_prime))
     labels = ("alpha", "alpha_prime")
     failures = [f"{label}_not_implementable" for label, c in zip(labels, codes) if EXHAUSTED in c]
-    dec, positions = inst.decode_table, inst.positions
+    dec, weak = inst.decode_table, inst.weakly_better
     rows = zip(inst.rank_tuples(), codes[preferred], codes[1 - preferred])
     for pidx, (pranks, kept, other) in enumerate(rows):
         if kept == other or EXHAUSTED in (kept, other):
             continue
         for i in agents:
-            place = positions[pranks[i]]
-            if place[dec[kept][i]] > place[dec[other][i]]:
+            kept_i, other_i = dec[kept][i], dec[other][i]
+            if other_i != kept_i and weak[pranks[i]][kept_i] >> other_i & 1:
                 return failures, {
                     "profile": inst.profile_at(pidx),
                     "agent": i,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 
 from .core import (
     Assignment,
@@ -29,6 +29,7 @@ from .engine import (
 )
 from .axioms import (
     Verdict,
+    _feasible_within,
     derive_alpha,
     is_group_strategy_proof,
     is_nonbossy,
@@ -357,8 +358,9 @@ def find_pe_not_gsp(
     - a run exhausts on the assigned cells, so every completion exhausts;
     - a run stops at a feasible x whose block is dominated. The block's
       profiles rank exactly the objects in agent i's prefix at or above
-      x_i, so a feasible y != x with every y_i in agent i's prefix improves
-      on x throughout the block, whatever the later cells hold.
+      x_i, so a second feasible allocation within the prefixes
+      (`_feasible_within`) improves on x throughout the block, whatever the
+      later cells hold.
     Every leaf is thus implementable and Pareto efficient, and only leaves
     run `is_nonbossy`.
     """
@@ -388,7 +390,11 @@ def find_pe_not_gsp(
         trail: list[list[int]] = []
         # a run that stops at its top-choice vector is never dominated
         _walk(inst, index, masks, -1, list(inst.prefix_walk.roots), table, parked, trail)
-        dominated = _dominated_prefixes(constraint)
+        within = _feasible_within(constraint)
+
+        def dominated(bits: int) -> bool:
+            return len(within(bits)) > 1
+
         for total in range(last, n * last + 1):
             depth, places[0], lefts[0], marks[0] = 0, -1, total, len(trail)
             while depth >= 0:
@@ -423,24 +429,6 @@ def find_pe_not_gsp(
                 else:
                     examined += count[depth + 1][left]
     return None
-
-
-def _dominated_prefixes(constraint: Constraint) -> Callable[[int], bool]:
-    """Whether some feasible y other than the walk state's x has every y_i
-    in agent i's prefix, from the state's packed prefixes (bit i*m + o when
-    agent i's prefix holds o), memoised. x lies in its own prefixes, so
-    that is a second feasible allocation within them."""
-    m = constraint.instance.m
-    held = [sum(1 << i * m + obj for i, obj in enumerate(y)) for y in constraint.feasible_assignments]
-    memo: dict[int, bool] = {}
-
-    def dominated(bits: int) -> bool:
-        found = memo.get(bits)
-        if found is None:
-            found = memo[bits] = sum(y & bits == y for y in held) > 1
-        return found
-
-    return dominated
 
 
 def _pick_contingent_dictatorship(

@@ -117,17 +117,6 @@ class Instance:
         return {p: r for r, p in enumerate(self.all_preferences())}
 
     @cached_property
-    def positions(self) -> tuple[tuple[int, ...], ...]:
-        """positions[rank][obj]: place of obj in the ranking of that rank."""
-        out = []
-        for pref in self.all_preferences():
-            row = [0] * self.m
-            for place, obj in enumerate(pref):
-                row[obj] = place
-            out.append(tuple(row))
-        return tuple(out)
-
-    @cached_property
     def strides(self) -> tuple[int, ...]:
         """Per agent, the step in the dense profile index for one step in
         their ranking's rank (agent 0 most significant)."""
@@ -569,13 +558,11 @@ class CompromiserAssignment:
 
     def _explain(self) -> None:
         """Raise `MalformedAssignmentError` naming the first problem: cell by
-        cell in mapping order, then the first missing cell by code. Where
-        the loop finds none (agents that compare equal to valid indices
-        without being ints, say), the assignment stands."""
+        cell in mapping order, then the first missing cell by code."""
         inst = self.constraint.instance
         feasible = self.constraint.feasible
         for code, agents in self.cells.items():
-            if not 0 <= code < inst.num_allocations:
+            if code not in range(inst.num_allocations):
                 raise MalformedAssignmentError(f"cell code {code} out of range")
             if code in feasible:
                 raise MalformedAssignmentError(f"cell on feasible allocation {inst.code_names[code]}")
@@ -584,7 +571,7 @@ class CompromiserAssignment:
             if not isinstance(agents, frozenset):
                 names, kind = inst.code_names[code], type(agents).__name__
                 raise MalformedAssignmentError(f"cell at {names} is a {kind}, not a frozenset")
-            if any(not 0 <= i < inst.n for i in agents):
+            if agents not in inst.cell_values:
                 raise MalformedAssignmentError(f"invalid agent index in cell {code}")
         for code in range(inst.num_allocations):
             if code not in feasible and code not in self.cells:

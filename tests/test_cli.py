@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -6,10 +7,17 @@ from pathlib import Path
 
 import pytest
 
+import localpriority
 from localpriority.enumeration import EnumerationOptions, enumerate_consistent
 from localpriority.fileio import dump_alpha, load_constraint
 
 from conftest import FIXTURES, GOLDENS
+
+
+# The CLI runs the package these tests import, whether installed or not.
+CLI_PATH = os.pathsep.join(
+    filter(None, (str(Path(localpriority.__file__).parents[1]), os.environ.get("PYTHONPATH")))
+)
 
 
 def run_cli(*args):
@@ -17,6 +25,7 @@ def run_cli(*args):
         [sys.executable, "-m", "localpriority.cli", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": CLI_PATH},
     )
     return proc
 

@@ -200,7 +200,6 @@ def test_positions_and_strides_match_the_definitions(n, m):
     assert len(prefs) == math.factorial(m)
     for rank, pref in enumerate(prefs):
         assert inst.preference_rank[pref] == rank
-        assert inst.positions[rank] == tuple(pref.index(obj) for obj in range(m))
     for i, p in enumerate(inst.all_profiles()):
         for agent, stride in enumerate(inst.strides):
             rank = inst.preference_rank[p[agent]]
@@ -320,7 +319,7 @@ def test_parts_and_part_sets_match_their_definitions(n, m):
 def test_cached_tables_leave_equality_and_hashing_alone():
     used, fresh = _instance(3, 2), _instance(3, 2)
     for attr in ("n", "m", "num_allocations", "num_profiles", "powers",
-                 "preference_rank", "positions", "strides", "decode_table",
+                 "preference_rank", "strides", "decode_table",
                  "factorials", "members", "agent_sets", "mask_of", "prefix_walk",
                  "_blocks", "_moves", "_steps", "_parts", "_part_sets", "weakly_better"):
         getattr(used, attr)
@@ -453,6 +452,25 @@ def test_alpha_cells_must_be_frozensets(kind):
     assert tabulate(alpha).table == tuple(
         pair.encode(run_lp(alpha, profile).assignment) for profile in pair.all_profiles()
     )
+
+
+@pytest.mark.parametrize("agents", [frozenset({0.5}), frozenset({0, 1.5})])
+def test_alpha_agents_must_be_agent_indices(agents):
+    # Agents that fall between 0 and n - 1 without being indices are refused
+    # where the assignment is built, not where a later lookup misses them.
+    pair = Instance(("1", "2"), ("a", "b"))
+    constraint = Constraint(pair, frozenset({1, 2}))
+    with pytest.raises(MalformedAssignmentError, match=r"^invalid agent index in cell 0$"):
+        CompromiserAssignment(constraint, {0: agents, 3: frozenset({0})})
+
+
+def test_alpha_codes_must_be_allocation_codes():
+    # Every infeasible cell present, plus a code between two valid ones.
+    pair = Instance(("1", "2"), ("a", "b"))
+    constraint = Constraint(pair, frozenset({1, 2}))
+    cells = {0: frozenset({0}), 3: frozenset({0}), 2.5: frozenset({0})}
+    with pytest.raises(MalformedAssignmentError, match=r"^cell code 2\.5 out of range$"):
+        CompromiserAssignment(constraint, cells)
 
 
 def test_alpha_union_and_subset(nonunique_alphas):

@@ -45,6 +45,7 @@ from localpriority.core import (
     Constraint,
     Instance,
     MalformedAssignmentError,
+    ScaleLimitError,
     diff,
     house_constraint,
     make_alpha,
@@ -52,7 +53,7 @@ from localpriority.core import (
     profiles_with_tops,
     school_constraint,
 )
-from localpriority import compare, enumeration
+from localpriority import axioms, compare, enumeration
 from localpriority.compare import check_agent_dominance, check_pointwise_dominance
 from localpriority.fileio import load_alpha, load_constraint
 from localpriority.engine import (
@@ -152,8 +153,10 @@ def reference_coalition_sweep(f, sizes, name):
     profile, coalition and reports, each report's outcome decoded and
     compared member by member."""
     inst = f.instance
-    table, dec, strides, pos = f.table, inst.decode_table, inst.strides, inst.positions
-    k = len(inst.all_preferences())
+    table, dec, strides = f.table, inst.decode_table, inst.strides
+    # pos[rank][obj]: the place of obj in the ranking of that rank
+    pos = [tuple(pref.index(obj) for obj in range(inst.m)) for pref in inst.all_preferences()]
+    k = len(pos)
     for size in sizes:
         # per coalition, the index offset of every joint report, in report order
         coalitions = [
@@ -264,6 +267,7 @@ def _tables(n, m, seed):
 def _agrees(verdict, reference):
     assert verdict.holds == (reference is None)
     assert verdict.witness == reference
+    return verdict.holds
 
 
 @pytest.mark.parametrize("n,m", SHAPES)
@@ -282,6 +286,35 @@ def test_table_sweeps_match_reference_loops(n, m):
         _agrees(is_pareto_efficient(f), reference_pe(f))
         _agrees(is_maskin_monotonic(f), reference_maskin(f))
     assert any(i > 0 for i in sp_witness_indices)
+
+
+@pytest.mark.parametrize("n,m", [(4, 2), (2, 4), (4, 3)])
+def test_pareto_matches_reference_at_wider_shapes(n, m):
+    # The packed upper sets span n * m bits, 8 to 12 here.
+    holds = [_agrees(is_pareto_efficient(f), reference_pe(f)) for f in _tables(n, m, seed=100 * n + m)]
+    assert len(set(holds)) == 2
+
+
+def reference_maskin_pairs(f):
+    """The pairs (p, q) that `reference_maskin` tests for a changed outcome."""
+    inst = f.instance
+    outcomes = [(p, f.lookup(p)) for p in inst.all_profiles()]
+    return sum(
+        all(_lower(p[i], x[i]) <= _lower(q[i], x[i]) for i in range(inst.n))
+        for p, x in outcomes
+        for q in inst.all_profiles()
+    )
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
+def test_maskin_pair_budget_counts_the_qualifying_pairs(n, m, monkeypatch):
+    for f in _tables(n, m, seed=100 * n + m):
+        pairs = reference_maskin_pairs(f)
+        monkeypatch.setattr(axioms, "MASKIN_PAIR_BUDGET", pairs)
+        _agrees(is_maskin_monotonic(f), reference_maskin(f))
+        monkeypatch.setattr(axioms, "MASKIN_PAIR_BUDGET", pairs - 1)
+        with pytest.raises(ScaleLimitError):
+            is_maskin_monotonic(f)
 
 
 def test_maskin_matches_reference_on_ttc_and_da(ttc_endowment, da_spec):

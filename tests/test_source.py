@@ -230,6 +230,27 @@ def test_the_pe_bossy_search_tabulates_nothing():
     assert not called & {"tabulate", "is_pareto_efficient"}, sorted(called)
 
 
+def test_one_pareto_test_serves_the_oracle_and_the_search():
+    # axioms._feasible_within decides Pareto domination from packed upper
+    # sets: the efficiency oracle and the efficient-but-bossy search's prune
+    # both call it, and no module keeps a second domination test or a second
+    # table of ranking places beside Instance.weakly_better.
+    def calls(module, name):
+        tree = ast.parse((PACKAGE / module).read_text())
+        top = next(t for t in tree.body if isinstance(t, ast.FunctionDef) and t.name == name)
+        return {getattr(node.func, "id", None) for node in ast.walk(top) if isinstance(node, ast.Call)}
+
+    for module, caller in (("axioms.py", "is_pareto_efficient"), ("consistency.py", "find_pe_not_gsp")):
+        called = calls(module, caller)
+        assert "_feasible_within" in called, f"{caller} calls {sorted(called, key=str)}"
+    defined = _find(lambda node: isinstance(node, ast.FunctionDef) and node.name == "_feasible_within")
+    assert len(defined) == 1 and defined[0].startswith("axioms.py:"), defined
+    found = _find(
+        lambda node: isinstance(node, ast.FunctionDef) and node.name in {"positions", "_dominated_prefixes"}
+    )
+    assert not found, f"second ranking table or domination test in {found}"
+
+
 def test_one_function_steps_the_packed_prefix_walk():
     # engine._walk is the one prefix walk: tabulate, outcome_codes and the
     # enumeration search all run it, so it is the one function that reads the
