@@ -4,7 +4,9 @@ characterizing local priority mechanisms (unanimity, fixed compromiser,
 compromiser invariance), plus the canonical compromiser assignment derived
 from a mechanism table.
 
-All sweeps iterate in canonical ascending order, so witnesses are
+The oracles that compare a profile with one agent's or one coalition's
+misreports walk the table one slice at a time (`Instance.slice_plan`) and keep
+the least witness. Every witness is the first in canonical order, so it is
 minimal-lexicographic and reproducible.
 """
 
@@ -12,6 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -66,32 +70,39 @@ def is_strategy_proof(f: MechanismTable) -> Verdict:
 
 
 def is_nonbossy(f: MechanismTable) -> Verdict:
-    """No agent changes others' assignments without changing their own."""
+    """No agent changes others' assignments without changing their own.
+
+    An agent's slice (`Instance.slice_plan`) is bossy iff one object of
+    theirs comes with two distinct outcomes in it. Each agent's slices are
+    walked in ascending base order, keeping the least (profile, agent) at
+    which a report changes the outcome but not the agent's object, with the
+    first such report, and stopping at the first base past it."""
     inst = f.instance
-    table, dec, strides = f.table, inst.decode_table, inst.strides
-    prefs = inst.all_preferences()
-    for pidx, pranks in enumerate(inst.rank_tuples()):
-        xc = table[pidx]
-        x = dec[xc]
-        for i in range(inst.n):
-            base = pidx - pranks[i] * strides[i]
-            for r2 in range(len(prefs)):
-                if r2 == pranks[i]:
-                    continue
-                yc = table[base + r2 * strides[i]]
-                if yc != xc and dec[yc][i] == x[i]:
-                    return Verdict(
-                        "nonbossy",
-                        False,
-                        {
-                            "profile": inst.profile_at(pidx),
-                            "agent": i,
-                            "misreport": prefs[r2],
-                            "truthful_outcome": x,
-                            "deviation_outcome": dec[yc],
-                        },
-                    )
-    return Verdict("nonbossy", True)
+    table, dec, prefs = f.table, inst.decode_table, inst.all_preferences()
+    witness, limit = None, inst.num_profiles
+    for (agent,), parts, bases, _, stride in inst.slice_plan(1).coalitions:
+        own, span = parts.__getitem__, len(prefs) * stride
+        for base in bases:
+            if base >= limit:
+                break
+            codes = table[base : base + span : stride]
+            distinct = set(codes)
+            if len(distinct) == len(set(map(own, distinct))):
+                continue
+            shared = Counter(map(own, distinct))
+            r = next(r for r, code in enumerate(codes) if shared[own(code)] > 1)
+            pidx = base + r * stride
+            if pidx < limit:
+                x = codes[r]
+                r2 = next(r2 for r2, y in enumerate(codes) if y != x and own(y) == own(x))
+                limit, witness = pidx, {
+                    "profile": inst.profile_at(pidx),
+                    "agent": agent,
+                    "misreport": prefs[r2],
+                    "truthful_outcome": dec[x],
+                    "deviation_outcome": dec[codes[r2]],
+                }
+    return Verdict("nonbossy", witness is None, witness)
 
 
 def is_group_strategy_proof(f: MechanismTable, exhaustive: bool = False) -> Verdict:
@@ -113,87 +124,135 @@ def _coalition_sweep(f: MechanismTable, sizes: Iterable[int], name: str) -> Verd
     reports, that leaves every member weakly better and one strictly better.
     A size-1 witness of strategy_proof names the agent and misreport.
 
-    A coalition S and the others' rankings fix a slice of k^|S| profiles,
-    one per joint report. Its image, built the first time a profile of the
-    slice needs it, maps each distinct part S holds in the slice's outcomes
-    (`Instance.parts`) to the first report offset that yields it, in that
-    order. A profile tests its slice's image, at most m^|S| parts, against
-    the parts everyone in S finds weakly better (`Instance.part_sets`).
-    Whether a report improves depends only on S's part, so the first
-    improving part in first-offset order is the first improving report, and
-    the witness is the one a walk over every joint report finds.
+    Each coalition S walks its slices (`Instance.slice_plan`) in ascending
+    base order. Whether a report improves depends only on the part S holds
+    there (`Instance.parts`), so a slice's first violated profile and first
+    improving report depend only on its parts in report order, and each
+    distinct sequence of them is decided once per size (`_first_gain`). The
+    sweep keeps the least violated profile of a size, taking the first
+    coalition in order at a tie, and a coalition stops at the first slice
+    whose base reaches it. So the witness is the one a walk over every
+    profile, coalition and joint report finds.
     """
     inst = f.instance
-    table, dec, strides, weak = f.table, inst.decode_table, inst.strides, inst.weakly_better
-    k = len(inst.all_preferences())
+    table, dec, k = f.table, inst.decode_table, len(inst.all_preferences())
+    # gather(parts): the coalition's part at every profile. The extra item,
+    # past every slice, keeps the result a tuple on a one-profile table.
+    gather = operator.itemgetter(*table, 0)
     for size in sizes:
-        sets = inst.part_sets(size)
-        # per coalition: its members with their strides and part sets, the
-        # index offset of every joint report in report order, its parts by
-        # code, and its images by slice base
-        coalitions = [
-            (
-                c,
-                tuple((i, strides[i], objs) for i, objs in zip(c, sets)),
-                [sum(r * strides[i] for i, r in zip(c, rs))
-                 for rs in itertools.product(range(k), repeat=size)],
-                inst.parts(inst.mask_of[frozenset(c)]),
-                {},
-            )
-            for c in itertools.combinations(range(inst.n), size)
-        ]
-        for pidx, (pranks, xc) in enumerate(zip(inst.rank_tuples(), table)):
-            x = dec[xc]
-            for coalition, members, offsets, parts, images in coalitions:
-                base, wanted = pidx, -1
-                for i, stride, objs in members:
-                    r = pranks[i]
-                    base -= r * stride
-                    wanted &= objs[weak[r][x[i]]]
-                if not wanted & (wanted - 1):
-                    continue  # the truthful part is the only one everyone weakly prefers
-                image = images.get(base)
-                if image is None:
-                    first: dict[int, int] = {}
-                    for off in offsets:
-                        first.setdefault(parts[table[base + off]], off)
-                    image = images[base] = (sum(1 << part for part in first), first)
-                found = image[0] & wanted
-                if not found & (found - 1):
-                    continue  # the slice holds the truthful part, and no other wanted one
-                truth = parts[xc]
-                idx = base + next(
-                    off for part, off in image[1].items() if part != truth and wanted >> part & 1
-                )
-                deviation = inst.profile_at(idx)
-                misreports = tuple(deviation[i] for i in coalition)
-                if name == "strategy_proof":
-                    who = {"agent": coalition[0], "misreport": misreports[0]}
+        plan = inst.slice_plan(size)
+        gains: dict[tuple[int, ...], tuple[int, int] | None] = {}
+        witness, limit = None, inst.num_profiles
+        for members, parts, bases, outer, stride in plan.coalitions:
+            held, span = gather(parts), k * stride
+            for base in bases:
+                if base >= limit:
+                    break
+                if size == 1:  # one member: the slice is one strided read
+                    got = held[base : base + span : stride]
                 else:
-                    who = {"coalition": coalition, "misreports": misreports}
-                return Verdict(
-                    name,
-                    False,
-                    {
+                    got = tuple(itertools.chain.from_iterable([held[base + o : base + o + span : stride] for o in outer]))
+                hit = gains.get(got, ())  # () until the sequence is decided
+                if hit == ():
+                    hit = gains[got] = _first_gain(got, plan.inner, plan.outer_rows)
+                if hit is None:
+                    continue
+                pidx, idx = (base + outer[t // k] + t % k * stride for t in hit)
+                if pidx < limit:
+                    deviation = inst.profile_at(idx)
+                    misreports = tuple(deviation[i] for i in members)
+                    if name == "strategy_proof":
+                        who = {"agent": members[0], "misreport": misreports[0]}
+                    else:
+                        who = {"coalition": members, "misreports": misreports}
+                    limit, witness = pidx, {
                         "profile": inst.profile_at(pidx),
                         **who,
-                        "truthful_outcome": x,
+                        "truthful_outcome": dec[table[pidx]],
                         "deviation_outcome": dec[table[idx]],
-                    },
-                )
+                    }
+        if witness is not None:
+            return Verdict(name, False, witness)
     return Verdict(name, True)
+
+
+def _first_gain(
+    got: tuple[int, ...], inner: Sequence[Sequence[int]], outer_rows: Sequence[Sequence[Sequence[int]]]
+) -> tuple[int, int] | None:
+    """Of a slice whose coalition holds the parts `got` in report order (see
+    `SlicePlan`): the first position where another part of the slice is
+    weakly better for every member, and the first position holding such a
+    part; None if there is none."""
+    image = 0
+    for part in set(got):
+        image |= 1 << part
+    if not image & (image - 1):
+        return None
+    k, parts = len(inner), iter(got)
+    for u, rows in enumerate(outer_rows):
+        for r, (row, part) in enumerate(zip(inner, parts)):
+            wanted = row[part]
+            for outer_row in rows:
+                wanted &= outer_row[part]
+            found = wanted & image
+            if found & (found - 1):
+                return u * k + r, next(t for t, other in enumerate(got) if other != part and wanted >> other & 1)
+    return None
 
 
 def is_maskin_monotonic(f: MechanismTable) -> Verdict:
     """Outcome preserved whenever every agent's lower contour set at their
     assigned object weakly expands.
 
-    For each profile p, visits only the profiles q where every agent's lower
-    contour set at f(p) weakly expands, in ascending index order, so the
-    first witness is the one a sweep over all profile pairs finds.
-    MASKIN_PAIR_BUDGET bounds the number of these pairs, which is counted
-    before any pair is visited.
+    Elementary transformations decide the verdict: one agent swaps two
+    adjacent objects in their ranking without moving their own object down.
+    Every transformation that expands the lower contour sets is a chain of
+    these, each expanding them, so a table holds iff no elementary one
+    changes the outcome. On an agent's slice (`Instance.slice_plan`) that
+    holds iff each of the agent's objects comes with one outcome, and every
+    elementary swap of a ranking keeps the agent's object there; the second
+    depends only on the agent's objects by rank, so it is decided once per
+    distinct sequence of them.
+
+    Only a failing table is walked pair by pair, to name the first witness
+    (`_maskin_witness`).
     """
+    inst = f.instance
+    table, m, rank, prefs = f.table, inst.m, inst.preference_rank, inst.all_preferences()
+    # raises[r][obj]: the ranks one adjacent swap reaches from rank r
+    # without moving obj down
+    raises = [
+        [
+            tuple(rank[pref[:j] + (pref[j + 1], pref[j]) + pref[j + 2 :]] for j in range(m - 1) if pref[j] != obj)
+            for obj in range(m)
+        ]
+        for pref in prefs
+    ]
+    kept: dict[tuple[int, ...], bool] = {}
+    for _, parts, bases, _, stride in inst.slice_plan(1).coalitions:
+        own, span = parts.__getitem__, len(prefs) * stride
+        for base in bases:
+            codes = table[base : base + span : stride]
+            distinct = set(codes)
+            if len(distinct) == 1:
+                continue  # a constant slice keeps its outcome
+            if len(distinct) != len(set(map(own, distinct))):
+                return _maskin_witness(f)
+            objs = tuple(map(own, codes))
+            ok = kept.get(objs)
+            if ok is None:
+                ok = kept[objs] = all(objs[r2] == obj for r, obj in enumerate(objs) for r2 in raises[r][obj])
+            if not ok:
+                return _maskin_witness(f)
+    return Verdict("maskin_monotonic", True)
+
+
+def _maskin_witness(f: MechanismTable) -> Verdict:
+    """The first Maskin violation of a failing table. For each profile p,
+    visits only the profiles q where every agent's lower contour set at f(p)
+    weakly expands, in ascending index order, so the witness is the one a
+    sweep over all profile pairs finds. MASKIN_PAIR_BUDGET bounds the number
+    of these pairs, which is counted before any pair is visited."""
     inst = f.instance
     table, dec, strides, n, m = f.table, inst.decode_table, inst.strides, inst.n, inst.m
     # A ranking's lower contour set at obj contains a given set of c objects
@@ -238,7 +297,7 @@ def is_maskin_monotonic(f: MechanismTable) -> Verdict:
                         "transformed_outcome": dec[table[qidx]],
                     },
                 )
-    return Verdict("maskin_monotonic", True)
+    raise AssertionError("no pair refutes a table that an elementary transformation refutes")
 
 
 def _feasible_within(constraint: Constraint) -> Callable[[int], tuple[int, ...]]:
@@ -297,26 +356,25 @@ def _image_note(f: MechanismTable) -> tuple[str, ...]:
 
 
 def check_unanimity(f: MechanismTable) -> Verdict:
-    """Whenever the top-choice vector lies in the image, it is chosen."""
+    """Whenever the top-choice vector lies in the image, it is chosen: the
+    first profile whose top code (`Instance.top_codes`) is in the image but
+    not its outcome refutes it."""
     inst = f.instance
-    image = f.image()
+    image, tops = f.image(), inst.top_codes
     notes = _image_note(f)
-    prefs = inst.all_preferences()
-    for pidx, pranks in enumerate(inst.rank_tuples()):
-        tops = tuple(prefs[r][0] for r in pranks)
-        tc = inst.encode(tops)
-        if tc in image and f.table[pidx] != tc:
-            return Verdict(
-                "unanimity",
-                False,
-                {
-                    "profile": inst.profile_at(pidx),
-                    "tops": tops,
-                    "outcome": inst.decode(f.table[pidx]),
-                },
-                notes,
-            )
-    return Verdict("unanimity", True, None, notes)
+    pidx = next((p for p, (tc, xc) in enumerate(zip(tops, f.table)) if tc != xc and tc in image), None)
+    if pidx is None:
+        return Verdict("unanimity", True, None, notes)
+    return Verdict(
+        "unanimity",
+        False,
+        {
+            "profile": inst.profile_at(pidx),
+            "tops": inst.decode(tops[pidx]),
+            "outcome": inst.decode(f.table[pidx]),
+        },
+        notes,
+    )
 
 
 def fixed_compromisers(

@@ -66,6 +66,27 @@ class PrefixWalk(NamedTuple):
     roots: tuple[int, ...]
 
 
+class SlicePlan(NamedTuple):
+    """How the table oracles read the slices of every coalition of one size
+    s (`Instance.slice_plan`). A coalition's slice holds the k^s profiles
+    that differ only in the members' rankings, one per joint report, in
+    report order (first member outermost), which is ascending index order.
+    Its base is the profile where every member's rank is 0."""
+
+    # Per coalition, in itertools.combinations order: its members, their
+    # parts by code (`Instance.parts`), the ascending slice bases, the
+    # ascending offsets of the outer members' joint reports and the last
+    # member's stride. At base b the slice's outcomes are, in report order,
+    # table[b + o : b + o + k * stride : stride] for each outer offset o.
+    coalitions: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...], int], ...]
+    # inner[r][q]: the parts whose last member's object that member, ranking
+    # r, weakly prefers to their object in part q, as a bitmask.
+    inner: tuple[tuple[int, ...], ...]
+    # Per outer joint report, in report order: the outer members' rows of
+    # the same kind, at their ranks.
+    outer_rows: tuple[tuple[tuple[int, ...], ...], ...]
+
+
 @dataclass(frozen=True)
 class Instance:
     """A set of named agents and a shared universe of named objects."""
@@ -325,6 +346,48 @@ class Instance:
                 for j in range(size)
             )
         return found
+
+    @cached_property
+    def _slice_plans(self) -> dict[int, SlicePlan]:
+        """Results of `slice_plan`, keyed by size."""
+        return {}
+
+    def slice_plan(self, size: int) -> SlicePlan:
+        """The slices of every coalition of `size` agents (see `SlicePlan`)."""
+        found = self._slice_plans.get(size)
+        if found is None:
+            n, m, strides, weak = self.n, self.m, self.strides, self.weakly_better
+            k = len(weak)
+            # rows[j][r][q]: `SlicePlan.inner` for member j
+            rows = [
+                tuple(tuple(objs[row[q // m**j % m]] for q in range(m**size)) for row in weak)
+                for j, objs in enumerate(self.part_sets(size))
+            ]
+            coalitions = []
+            for members in itertools.combinations(range(n), size):
+                bases, outer = [0], [0]
+                for i in range(n):
+                    if i not in members:
+                        bases = [b + r * strides[i] for b in bases for r in range(k)]
+                for i in members[:-1]:
+                    outer = [o + r * strides[i] for o in outer for r in range(k)]
+                mask = sum(1 << i for i in members)
+                coalitions.append((members, self.parts(mask), tuple(bases), tuple(outer), strides[members[-1]]))
+            outer_rows = [()]
+            for member_rows in rows[:-1]:
+                outer_rows = [prefix + (row,) for prefix in outer_rows for row in member_rows]
+            found = self._slice_plans[size] = SlicePlan(tuple(coalitions), rows[-1], tuple(outer_rows))
+        return found
+
+    @cached_property
+    def top_codes(self) -> tuple[int, ...]:
+        """Per profile, in dense index order, the code of its top-choice
+        vector."""
+        tops = [pref[0] for pref in self.all_preferences()]
+        codes = [0]
+        for place in self.powers:
+            codes = [code + top * place for code in codes for top in tops]
+        return tuple(codes)
 
     @cached_property
     def weakly_better(self) -> tuple[tuple[int, ...], ...]:

@@ -151,19 +151,15 @@ class MechanismTable:
 
     @cached_property
     def fixed_compromiser_sets(self) -> tuple[frozenset[int], ...]:
-        """Fixed-compromiser set at every allocation code, in one sweep: each
-        profile top-ranks one mu and ANDs the agents who miss their top into it."""
+        """Fixed-compromiser set at every allocation code. Each profile
+        top-ranks one mu (`Instance.top_codes`), and the agents who miss
+        their top there are ANDed into mu's set, once per distinct pair of
+        top code and outcome."""
         inst = self.instance
-        n, powers, dec = inst.n, inst.powers, inst.decode_table
-        tops = [pref[0] for pref in inst.all_preferences()]
-        masks = [(1 << n) - 1] * inst.num_allocations
-        for pranks, xc in zip(inst.rank_tuples(), self.table):
-            x = dec[xc]
-            tc = missed = 0
-            for i, r in enumerate(pranks):
-                tc += tops[r] * powers[i]
-                missed |= (x[i] != tops[r]) << i
-            masks[tc] &= missed
+        dec = inst.decode_table
+        masks = [(1 << inst.n) - 1] * inst.num_allocations
+        for tc, xc in set(zip(inst.top_codes, self.table)):
+            masks[tc] &= sum((top != obj) << i for i, (top, obj) in enumerate(zip(dec[tc], dec[xc])))
         return tuple(inst.agent_sets[mask] for mask in masks)
 
 

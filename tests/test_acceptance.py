@@ -319,7 +319,11 @@ def test_criterion_07_oracle_equivalence(inst3, touched_tables):
                 rng.choice(feasible) for _ in range(inst2.num_profiles)
             )
             small.append(MechanismTable(constraint, entries))
-        for table in touched_tables + small:
+        # SD on house n=4, m=4: 331,776 profiles, where Maskin monotonicity
+        # is decided by elementary transformations
+        inst4 = Instance(("1", "2", "3", "4"), ("a", "b", "c", "d"))
+        sd4 = tabulate(sd_alpha(house_constraint(inst4), (0, 1, 2, 3)))
+        for table in touched_tables + small + [sd4]:
             gsp = is_group_strategy_proof(table).holds
             sp_and_nonbossy = (
                 is_strategy_proof(table).holds and is_nonbossy(table).holds

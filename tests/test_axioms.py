@@ -6,6 +6,7 @@ from localpriority.core import (
     Constraint,
     Instance,
     ScaleLimitError,
+    house_constraint,
     profiles_with_tops,
     school_constraint,
     tau,
@@ -249,7 +250,8 @@ def _full_n3_m4():
 
 
 class _CountedEntries(tuple):
-    """Table entries that record every lookup by index."""
+    """Table entries that record every lookup of one entry by index. Slices,
+    which the slice-major oracles read, pass unrecorded."""
 
     def __new__(cls, entries):
         out = super().__new__(cls, entries)
@@ -257,19 +259,26 @@ class _CountedEntries(tuple):
         return out
 
     def __getitem__(self, idx):
-        self.reads.append(idx)
+        if not isinstance(idx, slice):
+            self.reads.append(idx)
         return super().__getitem__(idx)
 
 
 def test_maskin_refuses_over_budget_pairs_before_visiting_any():
     # everyone holds a at every profile: per agent, a sits at each of the 4
     # places in 6 rankings, with 24 / (4 - place) rankings keeping its lower
-    # contour set, so 6 * (6 + 8 + 12 + 24) = 300 and 300**3 = 27,000,000 pairs
+    # contour set, so 6 * (6 + 8 + 12 + 24) = 300 and 300**3 = 27,000,000
+    # pairs qualify. Elementary transformations decide that the table holds;
+    # with one entry changed it fails, and naming the first witness would
+    # visit more pairs than the budget allows, so it is refused unread.
     full = _full_n3_m4()
-    entries = _CountedEntries([full.instance.encode((0, 0, 0))] * full.instance.num_profiles)
+    entries = [full.instance.encode((0, 0, 0))] * full.instance.num_profiles
+    assert is_maskin_monotonic(MechanismTable(full, _CountedEntries(entries))).holds
+    entries[5] = full.instance.encode((1, 0, 0))
+    changed = _CountedEntries(entries)
     with pytest.raises(ScaleLimitError):
-        is_maskin_monotonic(MechanismTable(full, entries))
-    assert entries.reads == []
+        is_maskin_monotonic(MechanismTable(full, changed))
+    assert changed.reads == []
 
 
 def test_maskin_checks_n3_m4_under_the_pair_budget():
@@ -277,6 +286,20 @@ def test_maskin_checks_n3_m4_under_the_pair_budget():
     # 13,824 profiles, 2,985,984 in all
     table = tabulate(sd_alpha(_full_n3_m4(), (0, 1, 2)))
     assert is_maskin_monotonic(table).holds
+
+
+def test_maskin_decides_sd_on_house_n4_m4():
+    # 331,776 profiles, far more qualifying pairs than the budget: the
+    # elementary transformations find that SD holds, and that a table with
+    # one entry changed fails, whose first witness is then refused.
+    inst = Instance(("1", "2", "3", "4"), ("a", "b", "c", "d"))
+    house = house_constraint(inst)
+    table = tabulate(sd_alpha(house, (0, 1, 2, 3)))
+    assert is_maskin_monotonic(table).holds
+    entries = list(table.table)
+    entries[1000] = next(code for code in sorted(house.feasible) if code != entries[1000])
+    with pytest.raises(ScaleLimitError):
+        is_maskin_monotonic(MechanismTable(house, tuple(entries)))
 
 
 def test_tabulated_alphas_pass_characterizing_conditions(da_spec, ttc_endowment, inst3):

@@ -22,6 +22,7 @@ from localpriority.axioms import (
     bottom_rank,
     check_compromiser_invariance,
     check_fixed_compromiser,
+    check_unanimity,
     derive_alpha,
     is_group_strategy_proof,
     is_maskin_monotonic,
@@ -308,13 +309,20 @@ def reference_maskin_pairs(f):
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 2)])
 def test_maskin_pair_budget_counts_the_qualifying_pairs(n, m, monkeypatch):
+    # Only a failing table walks the pairs, to name its first witness, so
+    # the budget refuses failing tables alone: a holding table past it holds.
+    holds = []
     for f in _tables(n, m, seed=100 * n + m):
         pairs = reference_maskin_pairs(f)
         monkeypatch.setattr(axioms, "MASKIN_PAIR_BUDGET", pairs)
-        _agrees(is_maskin_monotonic(f), reference_maskin(f))
+        holds.append(_agrees(is_maskin_monotonic(f), reference_maskin(f)))
         monkeypatch.setattr(axioms, "MASKIN_PAIR_BUDGET", pairs - 1)
-        with pytest.raises(ScaleLimitError):
-            is_maskin_monotonic(f)
+        if holds[-1]:
+            assert is_maskin_monotonic(f).holds
+        else:
+            with pytest.raises(ScaleLimitError):
+                is_maskin_monotonic(f)
+    assert set(holds) == {False, True}
 
 
 def test_maskin_matches_reference_on_ttc_and_da(ttc_endowment, da_spec):
@@ -445,6 +453,20 @@ def _reference_notes(f):
     return (f"declared constraint has {len(missing)} feasible allocations outside the image; image used",)
 
 
+def reference_unanimity(f):
+    """The first profile whose top-choice vector, encoded per profile, is in
+    the image but not chosen."""
+    inst = f.instance
+    image = set(f.table)
+    for p in inst.all_profiles():
+        tops = tuple(pref[0] for pref in p)
+        if inst.encode(tops) in image and f.lookup(p) != tops:
+            return Verdict(
+                "unanimity", False, {"profile": p, "tops": tops, "outcome": f.lookup(p)}, _reference_notes(f)
+            )
+    return Verdict("unanimity", True, None, _reference_notes(f))
+
+
 def _reference_fixed(f, mu):
     """Agents who miss their component of mu at every profile top-ranking mu,
     one `lookup` per profile."""
@@ -518,10 +540,13 @@ def _derived(derive, f):
 
 
 def _characterization_agrees(f, rng):
-    """Same verdicts, witnesses and notes as the per-allocation references, with
-    and without `mus`, and the same derived assignment or error text; returns
-    which of the two conditions fail."""
+    """Same top codes as encoding each profile's tops, and the same verdicts,
+    witnesses and notes as the per-profile unanimity reference and the
+    per-allocation references, with and without `mus`, and the same derived
+    assignment or error text; returns which of the two conditions fail."""
     inst = f.instance
+    assert inst.top_codes == tuple(inst.encode(tuple(pref[0] for pref in p)) for p in inst.all_profiles())
+    assert check_unanimity(f) == reference_unanimity(f)
     fc = check_fixed_compromiser(f)
     assert fc == reference_fixed_compromiser(f)
     inv = check_compromiser_invariance(f)
