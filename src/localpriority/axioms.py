@@ -306,8 +306,7 @@ def _feasible_within(constraint: Constraint) -> Callable[[int], tuple[int, ...]]
     `feasible_assignments` of the first two feasible allocations whose every
     y_i lies in agent i's upper set. The allocation held lies in its own
     upper sets, so a second match Pareto-improves on it."""
-    m = constraint.instance.m
-    held = [sum(1 << i * m + obj for i, obj in enumerate(y)) for y in constraint.feasible_assignments]
+    held = [constraint.instance.object_bits[code] for code in sorted(constraint.feasible)]
     memo: dict[int, tuple[int, ...]] = {}
 
     def within(bits: int) -> tuple[int, ...]:

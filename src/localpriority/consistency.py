@@ -52,20 +52,24 @@ def is_forward_consistent(alpha: CompromiserAssignment) -> Verdict:
     inst = alpha.instance
     masks = _masks(alpha)
     for x_code in sorted(alpha.cells):
-        for y_code, moved in _moved_codes(inst, x_code, masks[x_code]):
-            missing = masks[x_code] & ~moved & ~masks[y_code]
-            if missing:
-                return Verdict(
-                    "forward_consistent",
-                    False,
-                    {
-                        "x": inst.decode(x_code),
-                        "y": inst.decode(y_code),
-                        "alpha_x": tuple(sorted(alpha.cells[x_code])),
-                        "alpha_y": tuple(sorted(alpha.cell(y_code))),
-                        "missing": inst.members[missing],
-                    },
-                )
+        x_mask = masks[x_code]
+        # each y is reached by one subset, so the least pair has the least y
+        least = min(
+            ((y, sub) for y, sub in inst.moves(x_code, x_mask) if x_mask & ~sub & ~masks[y]), default=None
+        )
+        if least is not None:
+            y_code, moved = least
+            return Verdict(
+                "forward_consistent",
+                False,
+                {
+                    "x": inst.decode(x_code),
+                    "y": inst.decode(y_code),
+                    "alpha_x": tuple(sorted(alpha.cells[x_code])),
+                    "alpha_y": tuple(sorted(alpha.cell(y_code))),
+                    "missing": inst.members[x_mask & ~moved & ~masks[y_code]],
+                },
+            )
     return Verdict("forward_consistent", True)
 
 
@@ -79,18 +83,6 @@ def _masks(alpha: CompromiserAssignment) -> list[int]:
     return masks
 
 
-def _moved_codes(inst: Instance, x_code: int, mask: int) -> list[tuple[int, int]]:
-    """Every allocation differing from x only on the agents in mask, x itself
-    included, ascending by code. Each comes with the submask of agents whose
-    moves reach it, which is exactly where it differs from x."""
-    found = [(x_code, 0)]
-    sub = mask
-    while sub:
-        found += [(y_code, sub) for y_code in inst.moves(x_code, sub)]
-        sub = (sub - 1) & mask
-    return sorted(found)
-
-
 def _reach(inst: Instance, masks: Sequence[int], x_code: int, agent: int) -> dict[int, int]:
     """Breadth-first walk of the acyclic compromise paths that start with a
     move by `agent` alone out of x and stay on infeasible allocations: a
@@ -100,9 +92,8 @@ def _reach(inst: Instance, masks: Sequence[int], x_code: int, agent: int) -> dic
     state reached, in discovery order, mapped to the state it was first
     reached from, which is x_code itself for the first step. `agent` must
     compromise at x; `masks` is as `_masks` gives it."""
-    m, top = inst.m, inst.num_allocations
-    start = (1 << (agent * m + x_code // inst.powers[agent] % m)) * top
-    parents = {start + y: x_code for y in inst.moves(x_code, 1 << agent) if masks[y]}
+    top = inst.num_allocations
+    parents = {left * top + y: x_code for y, _, left in inst.steps(x_code, 1 << agent) if masks[y]}
     queue = list(parents)
     for state in queue:
         abandoned, code = divmod(state, top)
@@ -201,18 +192,13 @@ def _stray(
     """The least x' moved from x by the agents in `mask` where `agent` is
     not a compromiser; the relaxed reading passes over feasible x'. `agent`
     compromises at x, so x itself is never one. `masks` is as `_masks`
-    gives it. Scans the moves of each submask and keeps the least, so
-    nothing is sorted."""
+    gives it. One pass over `Instance.moves` keeps the least, so nothing is
+    sorted."""
     bit = 1 << agent
     found = None
-    sub = mask
-    while sub:
-        for xp_code in inst.moves(x_code, sub):
-            if not masks[xp_code] & bit and (strict or masks[xp_code]) and (
-                found is None or xp_code < found
-            ):
-                found = xp_code
-        sub = (sub - 1) & mask
+    for xp_code, _ in inst.moves(x_code, mask):
+        if not masks[xp_code] & bit and (strict or masks[xp_code]) and (found is None or xp_code < found):
+            found = xp_code
     return found
 
 
@@ -230,7 +216,7 @@ def _backward_failure(
             if x_mask & bit:
                 parents = _reach(inst, masks, x_code, agent)
                 for mask in {masks[state % top] & ~bit for state in parents}:
-                    if _stray(inst, masks, x_code, agent, mask, strict) is not None:
+                    if mask and _stray(inst, masks, x_code, agent, mask, strict) is not None:
                         return agent, x_code, parents
     return None
 

@@ -243,28 +243,42 @@ class Instance:
         return found
 
     @cached_property
-    def _moves(self) -> dict[int, tuple[int, ...]]:
+    def _moves(self) -> dict[int, tuple[tuple[int, int], ...]]:
         """Results of `moves`, keyed by code << n | mask."""
         return {}
 
-    def moves(self, code: int, mask: int) -> tuple[int, ...]:
-        """Codes reached from `code` by giving every agent in `mask` a
-        different object, in product order: lowest agent outermost, objects
-        ascending. Works on place values, so nothing is decoded."""
+    def moves(self, code: int, mask: int) -> tuple[tuple[int, int], ...]:
+        """Every move out of `code` by a nonempty subset of the agents in
+        `mask`, each one giving every agent of the subset a different object,
+        as (new code, subset mask): subsets in itertools.combinations order,
+        and within a subset product order, lowest agent outermost and objects
+        ascending. The one enumerator of moved allocations. Works on place
+        values, so nothing is decoded."""
         key = code << self.n | mask
         found = self._moves.get(key)
         if found is None:
-            found = [code]
-            for i, place in enumerate(self.powers):
-                if mask >> i & 1:
-                    old = code // place % self.m * place
-                    found = [
-                        c - old + new
-                        for c in found
-                        for new in range(0, self.m * place, place)
-                        if new != old
-                    ]
-            found = self._moves[key] = tuple(found)
+            m, powers = self.m, self.powers
+            # one entry per subset of one size, in combinations order: its
+            # mask and codes, starting with each agent's moves alone
+            level = []
+            for i in self.members[mask]:
+                place = powers[i]
+                old = code // place % m * place
+                level.append((1 << i, [code - old + new for new in range(0, m * place, place) if new != old]))
+            singles = level
+            out = []
+            while level:
+                for sub, codes in level:
+                    out += [(c, sub) for c in codes]
+                # extending each subset by every agent above its highest
+                # lists the next size in combinations order too
+                level = [
+                    (sub | bit, [c + y - code for c in codes for y in alone])
+                    for sub, codes in level
+                    for bit, alone in singles
+                    if bit > sub
+                ]
+            found = self._moves[key] = tuple(out)
         return found
 
     @cached_property
@@ -274,28 +288,27 @@ class Instance:
 
     def steps(self, code: int, mask: int) -> tuple[tuple[int, int, int], ...]:
         """Compromise-path steps out of `code` when its compromisers are the
-        agents in `mask`: for each nonempty subset of them, in
-        itertools.combinations order, and each code `moves` gives for it,
-        (new code, arrived bits, left bits). Bit i*m + o stands for agent i
+        agents in `mask`: `moves(code, mask)` in its order, each as (new
+        code, arrived bits, left bits). Bit i*m + o stands for agent i
         holding object o, at the new code or at `code` respectively."""
         key = code << self.n | mask
         found = self._steps.get(key)
         if found is None:
-            m, powers, agents = self.m, self.powers, self.members[mask]
-            out = []
-            for size in range(1, len(agents) + 1):
-                for subset in itertools.combinations(agents, size):
-                    sub = left = 0
-                    for i in subset:
-                        sub |= 1 << i
-                        left |= 1 << (i * m + code // powers[i] % m)
-                    for y_code in self.moves(code, sub):
-                        arrived = 0
-                        for i in subset:
-                            arrived |= 1 << (i * m + y_code // powers[i] % m)
-                        out.append((y_code, arrived, left))
-            found = self._steps[key] = tuple(out)
+            bits = self.object_bits
+            found = self._steps[key] = tuple(
+                (y, bits[y] & ~bits[code], bits[code] & ~bits[y]) for y, _ in self.moves(code, mask)
+            )
         return found
+
+    @cached_property
+    def object_bits(self) -> tuple[int, ...]:
+        """Per code, bit i*m + o set for each agent i and the object o they
+        hold: a step's arrived and left bits are two masks of it, and the
+        Pareto test's held allocations are its feasible entries."""
+        bits = [0]
+        for i in range(self.n):
+            bits = [b | 1 << (i * self.m + obj) for obj in range(self.m) for b in bits]
+        return tuple(bits)
 
     @cached_property
     def decode_table(self) -> tuple[Assignment, ...]:
@@ -309,43 +322,23 @@ class Instance:
         error messages build it."""
         return tuple(map(self.assignment_names, self.all_assignments()))
 
-    @cached_property
-    def _parts(self) -> dict[int, tuple[int, ...]]:
-        """Results of `parts`, keyed by mask."""
-        return {}
-
     def parts(self, mask: int) -> tuple[int, ...]:
         """Per allocation code, the part the agents in `mask` hold: their
-        objects as a base-m number, lowest agent least significant."""
-        found = self._parts.get(mask)
-        if found is None:
-            members = self.members[mask]
-            places = [self.m**j for j in range(len(members))]
-            found = self._parts[mask] = tuple(
-                sum(a[i] * place for i, place in zip(members, places)) for a in self.decode_table
-            )
-        return found
-
-    @cached_property
-    def _part_sets(self) -> dict[int, tuple[tuple[int, ...], ...]]:
-        """Results of `part_sets`, keyed by size."""
-        return {}
+        objects as a base-m number, lowest agent least significant. Only
+        `slice_plan`, memoised per size, reads it, so it keeps no memo."""
+        members = self.members[mask]
+        places = [self.m**j for j in range(len(members))]
+        return tuple(sum(a[i] * place for i, place in zip(members, places)) for a in self.decode_table)
 
     def part_sets(self, size: int) -> tuple[tuple[int, ...], ...]:
         """part_sets(size)[j][objs]: bitmask of the parts of a coalition of
         `size` agents (see `parts`) whose j-th member holds an object in the
-        bitmask `objs`."""
-        found = self._part_sets.get(size)
-        if found is None:
-            m = self.m
-            found = self._part_sets[size] = tuple(
-                tuple(
-                    sum(1 << p for p in range(m**size) if objs >> (p // m**j % m) & 1)
-                    for objs in range(1 << m)
-                )
-                for j in range(size)
-            )
-        return found
+        bitmask `objs`. Read once per `slice_plan`, like `parts`."""
+        m = self.m
+        return tuple(
+            tuple(sum(1 << p for p in range(m**size) if objs >> (p // m**j % m) & 1) for objs in range(1 << m))
+            for j in range(size)
+        )
 
     @cached_property
     def _slice_plans(self) -> dict[int, SlicePlan]:
@@ -490,8 +483,10 @@ class Constraint:
             raise ValueError("constraint must be nonempty")
         top = self.instance.num_allocations
         for code in self.feasible:
-            if not 0 <= code < top:
-                raise ValueError(f"feasible code {code} out of range")
+            # testing the type first keeps a string from raising TypeError
+            # and 2.0, which equals code 2, from passing
+            if not (isinstance(code, int) and 0 <= code < top):
+                raise ValueError(f"feasible code {code!r} is not an allocation code")
 
     @cached_property
     def infeasible_codes(self) -> tuple[int, ...]:

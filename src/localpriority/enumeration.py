@@ -41,16 +41,15 @@ from .consistency import (
     Reading,
     _backward_failure,
     _check_reading,
-    _moved_codes,
     is_backward_consistent,
     is_forward_consistent,
 )
 from .engine import MechanismTable, NotImplementableError, _walk, tabulate
 
-# Codes the search's tables may leave in `Instance.moves`' memo,
-# |cells| * (m^n - 1): every 4-agent instance within the profile budget needs
-# at most 256 * 255, a 5-agent one 243 * 242. As |cells| <= m^n, no search
-# admitted has more than 316 cells.
+# Moves the search's set-up memoises in `Instance.moves`: per cell, the moves
+# by every agent, one to each other code, so |cells| * (m^n - 1) in all. A
+# 4-agent instance within the profile budget needs at most 256 * 255, a 5-agent
+# one 243 * 242. As |cells| <= m^n, no search admitted has more than 316 cells.
 MAX_MOVE_CODES = 100_000
 
 
@@ -213,7 +212,6 @@ class _Search:
         inst = constraint.instance
         self.cells = constraint.infeasible_codes
         self.index = constraint.cell_index
-        self.n = inst.n
         self.full_mask = 2**inst.n - 1
         # Each cell's mask by cell, and the same masks by code (0 where the
         # allocation is feasible or its cell is unassigned) for the leaf check.
@@ -261,17 +259,18 @@ class _Search:
         if not self.options.require_forward:
             self.forward = [[None] + [()] * self.full_mask for _ in self.cells]
             return
-        inst, feasible = self.constraint.instance, self.constraint.feasible
+        inst, index, full = self.constraint.instance, self.index, self.full_mask
         self.forward = []
         for code in self.cells:
-            per_mask: list[None | tuple[tuple[int, int], ...]] = [None]
-            for mask in range(1, self.full_mask + 1):
-                moves = [(y, sub) for y, sub in _moved_codes(inst, code, mask) if 0 < sub < mask]
-                if any(y in feasible for y, _ in moves):
-                    per_mask.append(None)
-                else:
-                    per_mask.append(tuple((self.index[y], mask & ~sub) for y, sub in moves))
-            self.forward.append(per_mask)
+            # a move is a proper-subset move of each mask strictly above its movers
+            per_mask: list[list[tuple[int, int]]] = [[] for _ in range(full + 1)]
+            for y, sub in inst.moves(code, full):
+                for mask in range(sub + 1, full + 1):
+                    if mask & sub == sub:
+                        per_mask[mask].append((index[y], mask & ~sub))
+            self.forward.append([None] + [
+                None if any(j < 0 for j, _ in cons) else tuple(cons) for cons in per_mask[1:]
+            ])
 
     def _build_backward_pairs(self) -> None:
         """Ordered cell pairs one coordinate apart, (x cell, y cell, agent),
@@ -280,12 +279,15 @@ class _Search:
         self.backward_pairs_at: list[list[tuple[int, int, int]]] = [
             [] for _ in self.cells
         ]
+        inst = self.constraint.instance
         for k, code in enumerate(self.cells):
-            for i in range(self.n):
-                for y_code in self.constraint.instance.moves(code, 1 << i):
-                    j = self.index[y_code]
-                    if j >= 0:
-                        self.backward_pairs_at[max(k, j)].append((k, j, i))
+            for y_code, sub in inst.moves(code, self.full_mask):
+                agents = inst.members[sub]
+                if len(agents) > 1:
+                    break  # the one-agent moves come first
+                j = self.index[y_code]
+                if j >= 0:
+                    self.backward_pairs_at[max(k, j)].append((k, j, agents[0]))
 
     def _apply_backward(self, depth: int) -> bool:
         """Two-step backward-consistency rules whose (x, y) pair completed at
@@ -297,24 +299,21 @@ class _Search:
         moves, cells, index = self.constraint.instance.moves, self.cells, self.index
         assigned, required, trail = self.assigned, self.required, self.trail
         for xk, yk, agent in self.backward_pairs_at[depth]:
-            if not (assigned[xk] >> agent) & 1:
-                continue
-            movers = assigned[yk] & ~(1 << agent)
             bit = 1 << agent
-            sub = movers
-            while sub:
-                for xp_code in moves(cells[xk], sub):
-                    j = index[xp_code]
-                    if j < 0:
-                        if strict:
-                            return False
-                    elif j <= depth:
-                        if not (assigned[j] >> agent) & 1:
-                            return False
-                    elif not (required[j][-1] >> agent) & 1:
-                        required[j].append(required[j][-1] | bit)
-                        trail.append(required[j])
-                sub = (sub - 1) & movers
+            movers = assigned[yk] & ~bit
+            if not movers or not assigned[xk] & bit:
+                continue
+            for xp_code, _ in moves(cells[xk], movers):
+                j = index[xp_code]
+                if j < 0:
+                    if strict:
+                        return False
+                elif j <= depth:
+                    if not (assigned[j] >> agent) & 1:
+                        return False
+                elif not (required[j][-1] >> agent) & 1:
+                    required[j].append(required[j][-1] | bit)
+                    trail.append(required[j])
         return True
 
     def _lex(self, depth: int) -> bool:
@@ -426,10 +425,8 @@ def enumerate_consistent(
     one the walk filled. The search reaches only lex-leaders; `_quotient`
     expands their orbits into the emitted list."""
     options = options or EnumerationOptions()
-    # The walk fills one table of num_profiles entries under the profile
-    # budget, and the moves from every cell fill `Instance.moves`' memo with
-    # |cells| * (m^n - 1) codes: an instance too large for either is refused
-    # before a table is built.
+    # The walk's table of num_profiles entries and the set-up's move lists
+    # (see MAX_MOVE_CODES) are refused, when too large, before either is built.
     inst = constraint.instance
     inst.check_profile_budget()
     cells = inst.num_allocations - len(constraint.feasible)

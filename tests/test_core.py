@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,11 +164,14 @@ def test_moves_match_a_decode_product_encode_loop(n, m):
         for mask in range(1 << n):
             agents = [i for i in range(n) if mask >> i & 1]
             expected = []
-            for combo in itertools.product(*([o for o in range(m) if o != x[i]] for i in agents)):
-                y = list(x)
-                for i, obj in zip(agents, combo):
-                    y[i] = obj
-                expected.append(inst.encode(y))
+            for size in range(1, len(agents) + 1):
+                for subset in itertools.combinations(agents, size):
+                    sub = sum(1 << i for i in subset)
+                    for combo in itertools.product(*([o for o in range(m) if o != x[i]] for i in subset)):
+                        y = list(x)
+                        for i, obj in zip(subset, combo):
+                            y[i] = obj
+                        expected.append((inst.encode(y), sub))
             assert inst.moves(code, mask) == tuple(expected)
             assert inst.moves(code, mask) is inst.moves(code, mask)
 
@@ -304,7 +308,6 @@ def test_parts_and_part_sets_match_their_definitions(n, m):
         assert parts == tuple(
             sum(x[i] * m**j for j, i in enumerate(members)) for x in inst.all_assignments()
         )
-        assert parts is inst.parts(mask)
         sets = inst.part_sets(len(members))
         assert all(bits < 1 << m ** len(members) for row in sets for bits in row)
         for x, part in zip(inst.all_assignments(), parts):
@@ -321,7 +324,7 @@ def test_cached_tables_leave_equality_and_hashing_alone():
     for attr in ("n", "m", "num_allocations", "num_profiles", "powers",
                  "preference_rank", "strides", "decode_table",
                  "factorials", "members", "agent_sets", "mask_of", "prefix_walk",
-                 "_blocks", "_moves", "_steps", "_parts", "_part_sets", "weakly_better"):
+                 "_blocks", "_moves", "_steps", "_slice_plans", "object_bits", "weakly_better"):
         getattr(used, attr)
     used.all_preferences()
     used.block(0b100011)
@@ -329,6 +332,7 @@ def test_cached_tables_leave_equality_and_hashing_alone():
     used.steps(5, 0b101)
     used.parts(0b101)
     used.part_sets(2)
+    used.slice_plan(2)
     assert used == fresh
     assert hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
@@ -423,6 +427,15 @@ def test_constraint_nonempty():
     inst = Instance(("1",), ("a",))
     with pytest.raises(ValueError):
         Constraint(inst, frozenset())
+
+
+@pytest.mark.parametrize("code", [2.5, 2.0, "1", -1, 9])
+def test_constraint_refuses_what_is_not_an_allocation_code(code):
+    # a float or a string is refused up front, not by a later writer's
+    # TypeError, and the message names the code
+    inst = Instance(("1", "2"), ("a", "b", "c"))
+    with pytest.raises(ValueError, match=f"^feasible code {re.escape(repr(code))} is not an allocation code$"):
+        Constraint(inst, frozenset({code, 0}))
 
 
 def test_alpha_validation(inst3, house3):

@@ -17,6 +17,7 @@ from localpriority.consistency import is_backward_consistent, is_forward_consist
 from localpriority.engine import is_implementable, tabulate
 from localpriority.enumeration import (
     EnumerationOptions,
+    _Search,
     brute_force_consistent,
     constraint_symmetries,
     enumerate_consistent,
@@ -111,6 +112,18 @@ def test_oversized_move_tables_are_refused_before_any_is_built():
         enumerate_consistent(social_constraint(inst), EnumerationOptions(budget=1000))
     assert time.process_time() - start < 1
     assert "_moves" not in vars(inst)
+
+
+def test_search_setup_memoises_one_move_list_per_cell():
+    # Forward consequences and backward pairs both read the moves by every
+    # agent out of each cell, so the set-up memoises exactly the
+    # |cells| * (m^n - 1) codes that MAX_MOVE_CODES counts: 21 * 26 here.
+    inst = Instance(("1", "2", "3"), ("a", "b", "c"))
+    constraint = house_constraint(inst)
+    _Search(constraint, EnumerationOptions())
+    memo = vars(inst)["_moves"]
+    assert sorted(memo) == [code << 3 | 0b111 for code in constraint.infeasible_codes]
+    assert sum(map(len, memo.values())) == 546
 
 
 def test_search_runs_deeper_than_the_recursion_limit():

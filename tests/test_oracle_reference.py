@@ -35,7 +35,6 @@ from localpriority.consistency import (
     _backward_failure,
     _first_paths,
     _masks,
-    _moved_codes,
     _reach,
     find_pe_not_gsp,
     is_backward_consistent,
@@ -1016,7 +1015,7 @@ def reference_backward(alpha, reading):
 
 def _consistency_agrees(alpha):
     """Same verdicts and witnesses as the references in both readings, the
-    same moved codes for every cell and agent set, and the same reached maps
+    same moved codes from `Instance.moves` for every cell and agent set, and the same reached maps
     and paths; returns whether strict backward consistency fails."""
     inst = alpha.instance
     _agrees(is_forward_consistent(alpha), reference_forward(alpha))
@@ -1028,8 +1027,8 @@ def _consistency_agrees(alpha):
         for agents in itertools.chain.from_iterable(
             itertools.combinations(range(inst.n), k) for k in range(inst.n + 1)
         ):
-            moved = _moved_codes(inst, x_code, sum(1 << i for i in agents))
-            assert [code for code, _ in moved] == reference_moved_codes(inst, x, agents)
+            moved = inst.moves(x_code, sum(1 << i for i in agents))
+            assert sorted([x_code] + [code for code, _ in moved]) == reference_moved_codes(inst, x, agents)
             assert all(
                 sum(1 << i for i in diff(x, inst.decode(code))) == sub for code, sub in moved
             )

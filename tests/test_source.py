@@ -90,6 +90,24 @@ def test_consistency_and_enumeration_encode_no_moves():
     assert not found, f"encode calls in {found}"
 
 
+def test_only_core_steps_through_submasks():
+    # Instance.moves is the one enumerator of moved allocations, so no other
+    # module walks the submasks of a mask with sub = (sub - 1) & mask.
+    def steps_a_submask(node):
+        return isinstance(node, ast.While) and any(
+            isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.BitAnd)
+            and any(
+                isinstance(side, ast.BinOp) and isinstance(side.op, ast.Sub)
+                and isinstance(side.right, ast.Constant) and side.right.value == 1
+                for side in (inner.left, inner.right)
+            )
+            for inner in ast.walk(node)
+        )
+
+    found = [place for place in _find(steps_a_submask) if not place.startswith("core.py:")]
+    assert not found, f"submask loops in {found}"
+
+
 def test_consistency_takes_path_steps_from_core():
     # Instance.steps owns the order in which compromisers move along a path;
     # consistency reads it and never lists mover subsets itself.
